@@ -58,21 +58,16 @@ fn main() {
 
 /// Child-process flag: run one `fit` with the kernel variant taken from the
 /// `RLL_KERNEL` environment (which is read once per process — hence the
-/// subprocess design) and print a [`VariantRun`] JSON line.
+/// subprocess design) and print a [`ChildRun`] JSON line.
 const CHILD_FLAG: &str = "--bench-train-child";
 
-/// The `serial_secs` recorded by the pre-kernel `bench_train/v1` run checked
-/// into `results/bench_train.json`; the tiled-kernel speedup is reported
-/// against it.
-const COMMITTED_SERIAL_BASELINE_SECS: f64 = 0.295228568;
-
-/// How many times each (kernel, threads) cell is re-run; the fastest run is
-/// kept, which filters scheduler noise on small boxes.
+/// How many times each (kernel, threads) cell is re-run. The best rep is
+/// the cell's time; the median and every rep are recorded as its spread.
 const REPS_PER_VARIANT: usize = 5;
 
 /// One timed `fit` in a child process.
 #[derive(Serialize, Deserialize)]
-struct VariantRun {
+struct ChildRun {
     kernel: String,
     threads: usize,
     secs: f64,
@@ -83,22 +78,37 @@ struct VariantRun {
     trace_hash: String,
 }
 
+/// One kernel × thread-count cell: its reps, their spread and the hashes
+/// every rep agreed on.
 #[derive(Serialize)]
-struct BenchTrainV2 {
+struct Cell {
+    kernel: String,
+    threads: usize,
+    /// Fastest rep (the number speedups are computed from).
+    best_secs: f64,
+    median_secs: f64,
+    /// Every rep, fastest first.
+    rep_secs: Vec<f64>,
+    embed_hash: String,
+    trace_hash: String,
+}
+
+#[derive(Serialize)]
+struct BenchTrainV3 {
     schema: String,
     workload: String,
     seed: u64,
     epochs: usize,
     groups_per_epoch: usize,
-    available_cores: usize,
+    nproc: usize,
+    cpu_model: String,
     reps_per_variant: usize,
-    baseline_serial_secs: f64,
-    /// Best-of-reps timings for every kernel x thread-count cell.
-    variants: Vec<VariantRun>,
-    /// Serial tiled vs serial scalar, measured in this run.
+    /// The cell every speedup divides: measured in this run, on this box.
+    baseline: String,
+    cells: Vec<Cell>,
     tiled_speedup_vs_scalar_serial: f64,
-    /// Serial tiled vs the committed pre-kernel baseline.
-    tiled_speedup_vs_baseline: f64,
+    /// Tiled at 4 threads vs tiled serial.
+    tiled_parallel_speedup: f64,
     outputs_identical: bool,
 }
 
@@ -118,7 +128,7 @@ fn bench_train_child(threads: usize) {
     let embed = model.embed(&ds.features).expect("embed");
     let mut trace_values = trace.epoch_losses.clone();
     trace_values.extend_from_slice(&trace.grad_norms_pre_clip);
-    let run = VariantRun {
+    let run = ChildRun {
         kernel: rll_tensor::kernels::configured_kernel().as_str().into(),
         threads,
         secs,
@@ -128,26 +138,41 @@ fn bench_train_child(threads: usize) {
     println!("{}", serde_json::to_string(&run).expect("serialize"));
 }
 
+/// The CPU model string from `/proc/cpuinfo`, or `"unknown"`.
+fn cpu_model() -> String {
+    std::fs::read_to_string("/proc/cpuinfo")
+        .ok()
+        .and_then(|info| {
+            info.lines()
+                .find(|l| l.starts_with("model name"))
+                .and_then(|l| l.split_once(':'))
+                .map(|(_, model)| model.trim().to_string())
+        })
+        .unwrap_or_else(|| "unknown".into())
+}
+
 /// Benchmarks the full trainer across kernel variants (scalar vs tiled) and
-/// thread counts (1 vs 4), checks all four runs produce bitwise-identical
-/// models, and writes the measurements as `bench_train/v2` JSON.
+/// thread counts (1 vs 4), checks every rep of every cell produces
+/// bitwise-identical models, and writes the measurements as
+/// `bench_train/v3` JSON.
 ///
-/// Each cell runs in a child process because `RLL_KERNEL` is latched on
-/// first read; the parent sets the variable per child and keeps the fastest
-/// of [`REPS_PER_VARIANT`] runs. Speedups are reported as measured, alongside
-/// `available_cores`: on a single-core machine the 4-thread runs cannot beat
-/// the serial ones, and that is the honest number — the point of `rll-par`
-/// is that the *results* never depend on the thread count.
+/// Each rep runs in a child process because `RLL_KERNEL` is latched on
+/// first read. Speedups divide cells of this same run — the scalar serial
+/// cell is the baseline — and are reported as measured, alongside `nproc`
+/// and the CPU model: with fewer cores than threads the 4-thread runs
+/// cannot beat the serial ones, and that is the honest number — the point
+/// of `rll-par` is that the *results* never depend on the thread count.
 fn bench_train(out: &str) {
     let exe = std::env::current_exe().expect("current exe");
     let seed = 42;
     let ds = rll_data::presets::oral(seed).expect("oral preset");
     let config = RllConfig::default();
 
-    let mut variants: Vec<VariantRun> = Vec::new();
+    let mut cells: Vec<Cell> = Vec::new();
+    let mut outputs_identical = true;
     for kernel in ["scalar", "tiled"] {
         for threads in [1usize, 4] {
-            let mut best: Option<VariantRun> = None;
+            let mut runs: Vec<ChildRun> = Vec::new();
             for _ in 0..REPS_PER_VARIANT {
                 let output = std::process::Command::new(&exe)
                     .arg(CHILD_FLAG)
@@ -161,31 +186,47 @@ fn bench_train(out: &str) {
                     String::from_utf8_lossy(&output.stderr)
                 );
                 let stdout = String::from_utf8_lossy(&output.stdout);
-                let run: VariantRun = serde_json::from_str(stdout.trim()).expect("child JSON");
+                let run: ChildRun = serde_json::from_str(stdout.trim()).expect("child JSON");
                 assert_eq!(run.kernel, kernel, "child ran the wrong kernel variant");
-                if best.as_ref().is_none_or(|b| run.secs < b.secs) {
-                    best = Some(run);
-                }
+                runs.push(run);
             }
-            variants.push(best.expect("at least one rep"));
+            runs.sort_by(|a, b| a.secs.total_cmp(&b.secs));
+            let first = &runs[0];
+            // Every rep must hash like the first cell's fastest rep.
+            let (embed, trace) = cells
+                .first()
+                .map_or((&first.embed_hash, &first.trace_hash), |c| {
+                    (&c.embed_hash, &c.trace_hash)
+                });
+            outputs_identical &= runs
+                .iter()
+                .all(|r| &r.embed_hash == embed && &r.trace_hash == trace);
+            let rep_secs: Vec<f64> = runs.iter().map(|r| r.secs).collect();
+            cells.push(Cell {
+                kernel: kernel.into(),
+                threads,
+                best_secs: rep_secs[0],
+                median_secs: rep_secs[rep_secs.len() / 2],
+                embed_hash: first.embed_hash.clone(),
+                trace_hash: first.trace_hash.clone(),
+                rep_secs,
+            });
         }
     }
 
-    let outputs_identical = variants
-        .iter()
-        .all(|v| v.embed_hash == variants[0].embed_hash && v.trace_hash == variants[0].trace_hash);
     let secs_of = |kernel: &str, threads: usize| {
-        variants
+        cells
             .iter()
-            .find(|v| v.kernel == kernel && v.threads == threads)
+            .find(|c| c.kernel == kernel && c.threads == threads)
             .expect("cell present")
-            .secs
+            .best_secs
     };
     let scalar_serial = secs_of("scalar", 1);
     let tiled_serial = secs_of("tiled", 1);
+    let tiled_parallel = secs_of("tiled", 4);
 
-    let report = BenchTrainV2 {
-        schema: "bench_train/v2".into(),
+    let report = BenchTrainV3 {
+        schema: "bench_train/v3".into(),
         workload: format!(
             "RllTrainer::fit on presets::oral ({} items, {} workers)",
             ds.features.rows(),
@@ -194,12 +235,13 @@ fn bench_train(out: &str) {
         seed,
         epochs: config.epochs,
         groups_per_epoch: config.groups_per_epoch,
-        available_cores: rll_par::available_threads(),
+        nproc: rll_par::available_threads(),
+        cpu_model: cpu_model(),
         reps_per_variant: REPS_PER_VARIANT,
-        baseline_serial_secs: COMMITTED_SERIAL_BASELINE_SECS,
-        variants,
+        baseline: "scalar kernel, 1 thread, best rep of this run".into(),
         tiled_speedup_vs_scalar_serial: scalar_serial / tiled_serial,
-        tiled_speedup_vs_baseline: COMMITTED_SERIAL_BASELINE_SECS / tiled_serial,
+        tiled_parallel_speedup: tiled_serial / tiled_parallel,
+        cells,
         outputs_identical,
     };
     let json = serde_json::to_string_pretty(&report).expect("serialize");

@@ -65,7 +65,63 @@ pub fn group_softmax_loss_with(
     eta: f64,
     kernel: Kernel,
 ) -> Result<(f64, Matrix)> {
-    let members = embeddings.rows();
+    let mut grads = Matrix::zeros(embeddings.rows(), embeddings.cols());
+    let loss = group_loss_rows(
+        embeddings.as_slice(),
+        embeddings.cols(),
+        confidences,
+        eta,
+        kernel,
+        grads.as_mut_slice(),
+    )?;
+    Ok((loss, grads))
+}
+
+/// [`group_softmax_loss`] on one group's rows inside a larger row-major
+/// block: `embeddings` is the group's `members × dim` slice, and the
+/// gradient rows are written into `grads`, a slice of the same length
+/// (overwritten, not accumulated).
+///
+/// The trainer embeds a whole shard of groups in one forward pass and
+/// evaluates each group's loss in place on its row range, writing into one
+/// stacked gradient matrix for one backward pass. Loss and gradient bits
+/// equal [`group_softmax_loss`] on a matrix holding the same rows.
+pub fn group_softmax_loss_rows(
+    embeddings: &[f64],
+    dim: usize,
+    confidences: &[f64],
+    eta: f64,
+    grads: &mut [f64],
+) -> Result<f64> {
+    group_loss_rows(
+        embeddings,
+        dim,
+        confidences,
+        eta,
+        kernels::configured_kernel(),
+        grads,
+    )
+}
+
+/// Validates a group block and dispatches to the kernel variant.
+fn group_loss_rows(
+    embeddings: &[f64],
+    dim: usize,
+    confidences: &[f64],
+    eta: f64,
+    kernel: Kernel,
+    grads: &mut [f64],
+) -> Result<f64> {
+    if dim == 0 || !embeddings.len().is_multiple_of(dim) || grads.len() != embeddings.len() {
+        return Err(RllError::InvalidConfig {
+            reason: format!(
+                "group block of {} values (gradient block {}) is not whole rows of dim {dim}",
+                embeddings.len(),
+                grads.len()
+            ),
+        });
+    }
+    let members = embeddings.len() / dim;
     if members < 3 {
         return Err(RllError::InvalidConfig {
             reason: format!(
@@ -92,25 +148,36 @@ pub fn group_softmax_loss_with(
             reason: format!("confidence {bad} outside [0, 1]"),
         });
     }
-    match kernel {
-        Kernel::Scalar => loss_scalar(embeddings, confidences, eta),
-        Kernel::Tiled => loss_fused(embeddings, confidences, eta),
-    }
+    // Degenerate candidates keep a zero gradient row.
+    grads.fill(0.0);
+    let loss = match kernel {
+        Kernel::Scalar => loss_scalar(embeddings, dim, confidences, eta, grads)?,
+        Kernel::Tiled => loss_fused(embeddings, dim, confidences, eta, grads)?,
+    };
+    debug_assert_finite!([loss], "group softmax loss");
+    debug_assert_finite!(grads, "group softmax gradients");
+    Ok(loss)
 }
 
 /// The oracle: the loss composed from the `ops::` building blocks, one pass
 /// per quantity.
-fn loss_scalar(embeddings: &Matrix, confidences: &[f64], eta: f64) -> Result<(f64, Matrix)> {
-    let members = embeddings.rows();
-    let candidates = members - 1;
-    let anchor = embeddings.row(0)?;
+fn loss_scalar(
+    embeddings: &[f64],
+    dim: usize,
+    confidences: &[f64],
+    eta: f64,
+    grads: &mut [f64],
+) -> Result<f64> {
+    let candidates = embeddings.len() / dim - 1;
+    let row = |r: usize| &embeddings[r * dim..(r + 1) * dim];
+    let anchor = row(0);
     let anchor_norm = ops::norm(anchor);
 
     // Scores s_c = η δ_c cos(anchor, candidate_c).
     let mut cosines = Vec::with_capacity(candidates);
     let mut scores = Vec::with_capacity(candidates);
     for c in 0..candidates {
-        let cand = embeddings.row(c + 1)?;
+        let cand = row(c + 1);
         let r = ops::cosine_similarity(anchor, cand)?;
         cosines.push(r);
         scores.push(eta * confidences[c] * r);
@@ -119,13 +186,11 @@ fn loss_scalar(embeddings: &Matrix, confidences: &[f64], eta: f64) -> Result<(f6
     let loss = -probs[0].max(1e-300).ln();
 
     // dL/ds_c = p_c - 1[c == positive].
-    let mut grads = Matrix::zeros(members, embeddings.cols());
-    let dim = embeddings.cols();
-    let mut grad_anchor = vec![0.0; dim];
+    let (grad_anchor, grad_cands) = grads.split_at_mut(dim);
     for c in 0..candidates {
         let dl_ds = probs[c] - if c == 0 { 1.0 } else { 0.0 };
         let dl_dr = dl_ds * eta * confidences[c];
-        let cand = embeddings.row(c + 1)?;
+        let cand = row(c + 1);
         let cand_norm = ops::norm(cand);
         if anchor_norm <= f64::EPSILON || cand_norm <= f64::EPSILON {
             // cosine() returned the neutral 0 here; use the zero subgradient.
@@ -138,15 +203,12 @@ fn loss_scalar(embeddings: &Matrix, confidences: &[f64], eta: f64) -> Result<(f6
             grad_anchor[d] += dl_dr * (cand[d] * inv - r * anchor[d] / (anchor_norm * anchor_norm));
         }
         // dr/d(cand) = a/(|a||c|) - r * c / |c|^2
-        let grad_cand = grads.row_mut(c + 1)?;
+        let grad_cand = &mut grad_cands[c * dim..(c + 1) * dim];
         for d in 0..dim {
             grad_cand[d] = dl_dr * (anchor[d] * inv - r * cand[d] / (cand_norm * cand_norm));
         }
     }
-    grads.row_mut(0)?.copy_from_slice(&grad_anchor);
-    debug_assert_finite!([loss], "group softmax loss");
-    debug_assert_finite!(grads, "group softmax gradients");
-    Ok((loss, grads))
+    Ok(loss)
 }
 
 /// The fused kernel: one sweep per candidate row for the forward quantities
@@ -160,11 +222,16 @@ fn loss_scalar(embeddings: &Matrix, confidences: &[f64], eta: f64) -> Result<(f6
 /// exact operation order — in particular the `r·x/(norm·norm)` divisions
 /// are *not* strength-reduced to a reciprocal multiply, which would round
 /// differently.
-fn loss_fused(embeddings: &Matrix, confidences: &[f64], eta: f64) -> Result<(f64, Matrix)> {
-    let members = embeddings.rows();
-    let candidates = members - 1;
-    let dim = embeddings.cols();
-    let anchor = embeddings.row(0)?;
+fn loss_fused(
+    embeddings: &[f64],
+    dim: usize,
+    confidences: &[f64],
+    eta: f64,
+    grads: &mut [f64],
+) -> Result<f64> {
+    let candidates = embeddings.len() / dim - 1;
+    let row = |r: usize| &embeddings[r * dim..(r + 1) * dim];
+    let anchor = row(0);
     let anchor_norm = ops::norm(anchor);
 
     // Forward sweep: cosine and score per candidate, candidate norms kept
@@ -173,7 +240,7 @@ fn loss_fused(embeddings: &Matrix, confidences: &[f64], eta: f64) -> Result<(f64
     let mut cand_norms = vec![0.0; candidates];
     let mut scores = vec![0.0; candidates];
     for c in 0..candidates {
-        let cand = embeddings.row(c + 1)?;
+        let cand = row(c + 1);
         let mut dot = 0.0;
         let mut sq = 0.0;
         for (&x, &y) in anchor.iter().zip(cand) {
@@ -211,12 +278,11 @@ fn loss_fused(embeddings: &Matrix, confidences: &[f64], eta: f64) -> Result<(f64
     let loss = -probs[0].max(1e-300).ln();
 
     // Gradient sweep: both gradient rows of candidate c in one pass over d.
-    let mut grads = Matrix::zeros(members, dim);
-    let mut grad_anchor = vec![0.0; dim];
+    let (grad_anchor, grad_cands) = grads.split_at_mut(dim);
     for c in 0..candidates {
         let dl_ds = probs[c] - if c == 0 { 1.0 } else { 0.0 };
         let dl_dr = dl_ds * eta * confidences[c];
-        let cand = embeddings.row(c + 1)?;
+        let cand = row(c + 1);
         let cand_norm = cand_norms[c];
         if anchor_norm <= f64::EPSILON || cand_norm <= f64::EPSILON {
             // cosine() returned the neutral 0 here; use the zero subgradient.
@@ -224,7 +290,7 @@ fn loss_fused(embeddings: &Matrix, confidences: &[f64], eta: f64) -> Result<(f64
         }
         let inv = 1.0 / (anchor_norm * cand_norm);
         let r = cosines[c];
-        let grad_cand = grads.row_mut(c + 1)?;
+        let grad_cand = &mut grad_cands[c * dim..(c + 1) * dim];
         for d in 0..dim {
             // dr/d(anchor) = cand/(|a||c|) - r * a / |a|^2
             grad_anchor[d] += dl_dr * (cand[d] * inv - r * anchor[d] / (anchor_norm * anchor_norm));
@@ -232,10 +298,7 @@ fn loss_fused(embeddings: &Matrix, confidences: &[f64], eta: f64) -> Result<(f64
             grad_cand[d] = dl_dr * (anchor[d] * inv - r * cand[d] / (cand_norm * cand_norm));
         }
     }
-    grads.row_mut(0)?.copy_from_slice(&grad_anchor);
-    debug_assert_finite!([loss], "group softmax loss");
-    debug_assert_finite!(grads, "group softmax gradients");
-    Ok((loss, grads))
+    Ok(loss)
 }
 
 /// The posterior `p̂(x⁺_j | x⁺_i)` for a group (no gradients) — used by
@@ -435,6 +498,33 @@ mod tests {
             assert_eq!(ls.to_bits(), lf.to_bits(), "loss bits, seed {seed}");
             assert_eq!(gs, gf, "gradient bits, seed {seed}");
         }
+    }
+
+    #[test]
+    fn row_block_loss_is_bitwise_the_matrix_loss() {
+        // Two groups stacked in one block: each group's loss and gradient
+        // rows, computed in place, equal the standalone matrix call's bits.
+        let a = random_group(5, 4, 31);
+        let b = random_group(5, 4, 32);
+        let stacked = a.vstack(&b).unwrap();
+        let conf = [0.9, 0.4, 1.0, 0.7];
+        let mut grads = vec![f64::NAN; stacked.len()]; // overwritten, not accumulated
+        let half = a.len();
+        let (block_a, block_b) = stacked.as_slice().split_at(half);
+        let (grads_a, grads_b) = grads.split_at_mut(half);
+        let la = group_softmax_loss_rows(block_a, 4, &conf, 10.0, grads_a).unwrap();
+        let lb = group_softmax_loss_rows(block_b, 4, &conf, 10.0, grads_b).unwrap();
+        for (emb, loss, rows) in [(&a, la, &grads[..half]), (&b, lb, &grads[half..])] {
+            let (want_loss, want_grads) = group_softmax_loss(emb, &conf, 10.0).unwrap();
+            assert_eq!(loss.to_bits(), want_loss.to_bits());
+            assert_eq!(rows, want_grads.as_slice());
+        }
+        // Shapes that are not whole rows are typed errors.
+        let mut g = vec![0.0; 19];
+        assert!(group_softmax_loss_rows(&a.as_slice()[..19], 4, &conf, 10.0, &mut g).is_err());
+        let mut g = vec![0.0; 19];
+        assert!(group_softmax_loss_rows(a.as_slice(), 4, &conf, 10.0, &mut g).is_err());
+        assert!(group_softmax_loss_rows(&[], 0, &conf, 10.0, &mut []).is_err());
     }
 
     #[test]

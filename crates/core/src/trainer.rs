@@ -1,14 +1,14 @@
 //! The RLL training loop.
 
 use crate::error::RllError;
-use crate::group::{GroupSampler, SamplingStrategy};
-use crate::loss::group_softmax_loss;
+use crate::group::{Group, GroupSampler, SamplingStrategy};
+use crate::loss::group_softmax_loss_rows;
 use crate::model::{RllModel, RllModelConfig};
 use crate::state::{config_hash, CheckpointPolicy, FaultPlan, TrainState};
 use crate::Result;
 use rll_crowd::aggregate::{Aggregator, MajorityVote};
 use rll_crowd::{AnnotationMatrix, BetaPrior, ConfidenceEstimator};
-use rll_nn::{Adam, GradClip, Optimizer};
+use rll_nn::{Adam, GradClip, Mlp, Optimizer};
 use rll_obs::{
     CheckpointStats, EpochProfileStats, EpochStats, EventKind, ProfileNode, Recorder, ResumeStats,
     SamplerStats, Stopwatch,
@@ -483,9 +483,9 @@ impl RllTrainer {
             // Forward/backward over the batch, sharded across worker threads.
             // Determinism contract (holds for every thread count, including
             // 1): shard boundaries are fixed by SHARD_GROUPS alone; each
-            // shard accumulates gradients into a thread-local clone in
-            // serial group order; partials are reduced into the model in
-            // shard-index order below. Only scheduling varies with
+            // shard runs one stacked forward/backward (see `shard_step`)
+            // into a thread-local clone; partials are reduced into the model
+            // in shard-index order below. Only scheduling varies with
             // `self.threads` — never which floats are added in which order.
             model.mlp_mut().zero_grad();
             let shards = rll_par::fixed_shards(groups.len(), SHARD_GROUPS);
@@ -504,27 +504,27 @@ impl RllTrainer {
                     );
                     let mut local = mlp.clone();
                     local.zero_grad();
+                    let step = shard_step(
+                        &mut local,
+                        features,
+                        &groups[range.clone()],
+                        confidences,
+                        self.config.eta,
+                        &mut shard_rng,
+                    )?;
+                    // Shard loss: the groups' losses summed in group order.
                     let mut loss_sum = 0.0;
-                    let mut forward_secs = 0.0;
-                    let mut backward_secs = 0.0;
-                    for group in &groups[range.clone()] {
-                        let members = group.members();
-                        let forward_start = Stopwatch::start();
-                        let member_features = features.select_rows(&members)?;
-                        let cache = local.forward_cached(&member_features, &mut shard_rng)?;
-                        // Candidate confidences: δ_j for the positive, then
-                        // the negatives' δ, in member order.
-                        let cand_conf: Vec<f64> =
-                            members[1..].iter().map(|&m| confidences[m]).collect();
-                        let (loss, grads) =
-                            group_softmax_loss(cache.output(), &cand_conf, self.config.eta)?;
-                        forward_secs += forward_start.elapsed_secs();
+                    for loss in &step.group_losses {
                         loss_sum += loss;
-                        let backward_start = Stopwatch::start();
-                        local.backward(&cache, &grads)?;
-                        backward_secs += backward_start.elapsed_secs();
                     }
-                    Ok::<_, RllError>((loss_sum, forward_secs, backward_secs, local))
+                    // Only the gradients go to the reduce: the clone's weights
+                    // are freed here instead of waiting for every shard.
+                    Ok::<_, RllError>((
+                        loss_sum,
+                        step.forward_secs,
+                        step.backward_secs,
+                        local.take_grads(),
+                    ))
                 })?
             };
             let fanout_secs = fanout_start.elapsed_secs();
@@ -538,11 +538,11 @@ impl RllTrainer {
             let mut total_loss = 0.0;
             let mut forward_secs = 0.0;
             let mut backward_secs = 0.0;
-            for (loss_sum, fwd, bwd, shard_mlp) in &shard_outputs {
+            for (loss_sum, fwd, bwd, shard_grads) in &shard_outputs {
                 total_loss += loss_sum;
                 forward_secs += fwd;
                 backward_secs += bwd;
-                model.mlp_mut().add_grads_from(shard_mlp)?;
+                model.mlp_mut().add_grads(shard_grads)?;
             }
             let reduce_secs = reduce_start.elapsed_secs();
 
@@ -670,6 +670,70 @@ impl RllTrainer {
     }
 }
 
+/// What one gradient shard produced besides its accumulated gradients.
+struct ShardStep {
+    /// Each group's loss, in group order.
+    group_losses: Vec<f64>,
+    /// Row gather, forward pass and group losses.
+    forward_secs: f64,
+    /// Backward pass.
+    backward_secs: f64,
+}
+
+/// One gradient shard: the members of all `groups` are stacked row-wise
+/// into one batch, embedded by one forward pass, scored group by group on
+/// their row ranges into one stacked gradient matrix, and sent through one
+/// backward pass that accumulates into `local`.
+///
+/// Every kernel accumulates per output row, so each group's embedding rows,
+/// loss and embedding gradient have the same bits as a forward over that
+/// group alone. Only the weight and bias gradients differ: they sum over
+/// the shard's rows in one chain instead of group by group.
+fn shard_step(
+    local: &mut Mlp,
+    features: &Matrix,
+    groups: &[Group],
+    confidences: &[f64],
+    eta: f64,
+    rng: &mut Rng64,
+) -> Result<ShardStep> {
+    let forward_start = Stopwatch::start();
+    let members: Vec<usize> = groups.iter().flat_map(Group::members).collect();
+    let member_features = features.select_rows(&members)?;
+    let cache = local.forward_cached(&member_features, rng)?;
+    let embeddings = cache.output();
+    let dim = embeddings.cols();
+    let mut grads = Matrix::zeros(embeddings.rows(), dim);
+    let mut group_losses = Vec::with_capacity(groups.len());
+    let mut row = 0;
+    for group in groups {
+        let len = group.len();
+        // Candidate confidences: δ_j for the positive, then the negatives'
+        // δ, in member order.
+        let cand_conf: Vec<f64> = members[row + 1..row + len]
+            .iter()
+            .map(|&m| confidences[m])
+            .collect();
+        let block = row * dim..(row + len) * dim;
+        group_losses.push(group_softmax_loss_rows(
+            &embeddings.as_slice()[block.clone()],
+            dim,
+            &cand_conf,
+            eta,
+            &mut grads.as_mut_slice()[block],
+        )?);
+        row += len;
+    }
+    let forward_secs = forward_start.elapsed_secs();
+    let backward_start = Stopwatch::start();
+    local.backward(&cache, &grads)?;
+    Ok(ShardStep {
+        group_losses,
+        forward_secs,
+        backward_secs: backward_start.elapsed_secs(),
+    })
+}
+
 /// Global L2 norm over a set of gradient matrices.
 fn global_grad_norm<'a>(grads: impl Iterator<Item = &'a Matrix>) -> f64 {
     grads
@@ -789,6 +853,90 @@ mod tests {
         let (_, trace_bay) = bay.fit(&x, &ann, 8).unwrap();
         // Bayesian shrinkage: no confidence exactly 1.
         assert!(trace_bay.confidences.iter().all(|&c| c < 1.0 && c > 0.0));
+    }
+
+    /// A shard's worth of sampled groups plus the model and confidences
+    /// the trainer would hand to `shard_step`.
+    fn one_shard(seed: u64) -> (Matrix, Vec<Group>, Vec<f64>, RllModel) {
+        let (x, ann, _) = crowd_dataset(60, seed);
+        let trainer = RllTrainer::new(fast_config(RllVariant::Bayesian)).unwrap();
+        let labels = MajorityVote::positive_ties().hard_labels(&ann).unwrap();
+        let prior = labels.iter().filter(|&&l| l == 1).count() as f64 / labels.len() as f64;
+        let confidences = trainer.compute_confidences(&ann, &labels, prior).unwrap();
+        let sampler =
+            GroupSampler::new(&labels, 3, SamplingStrategy::Uniform, Some(&confidences)).unwrap();
+        let mut rng = Rng64::seed_from_u64(seed);
+        let groups = sampler.sample_batch(SHARD_GROUPS, &mut rng).unwrap();
+        let model = RllModel::new(RllModelConfig::for_input(x.cols()), &mut rng).unwrap();
+        (x, groups, confidences, model)
+    }
+
+    #[test]
+    fn stacked_shard_matches_per_group_path() {
+        let eta = RllConfig::default().eta;
+        for seed in [51u64, 52, 53] {
+            let (x, groups, confidences, model) = one_shard(seed);
+            let mut rng = Rng64::seed_from_u64(seed);
+
+            // The per-group path: one forward, loss and backward per group.
+            let mut per_group = model.mlp().clone();
+            per_group.zero_grad();
+            let mut rows = Vec::new();
+            let mut losses = Vec::new();
+            for group in &groups {
+                let members = group.members();
+                let batch = x.select_rows(&members).unwrap();
+                let cache = per_group.forward_cached(&batch, &mut rng).unwrap();
+                rows.extend_from_slice(cache.output().as_slice());
+                let conf: Vec<f64> = members[1..].iter().map(|&m| confidences[m]).collect();
+                let (loss, grads) =
+                    crate::loss::group_softmax_loss(cache.output(), &conf, eta).unwrap();
+                per_group.backward(&cache, &grads).unwrap();
+                losses.push(loss);
+            }
+
+            // The stacked path the trainer runs.
+            let mut stacked = model.mlp().clone();
+            stacked.zero_grad();
+            let step = shard_step(&mut stacked, &x, &groups, &confidences, eta, &mut rng).unwrap();
+            let bits = |v: &[f64]| v.iter().map(|f| f.to_bits()).collect::<Vec<_>>();
+            assert_eq!(bits(&step.group_losses), bits(&losses), "seed {seed}");
+            let members: Vec<usize> = groups.iter().flat_map(Group::members).collect();
+            let batch = x.select_rows(&members).unwrap();
+            let cache = model.mlp().forward_cached(&batch, &mut rng).unwrap();
+            assert_eq!(bits(cache.output().as_slice()), bits(&rows), "seed {seed}");
+
+            // Weight and bias gradients: same sums in a different order.
+            for (got, want) in stacked.layers().iter().zip(per_group.layers()) {
+                for (g, w) in [
+                    (got.grad_weights().unwrap(), want.grad_weights().unwrap()),
+                    (got.grad_bias().unwrap(), want.grad_bias().unwrap()),
+                ] {
+                    let diff = g.sub(w).unwrap().max_abs();
+                    assert!(
+                        diff <= 1e-12 * w.max_abs(),
+                        "seed {seed}: gradient off by {diff:e} (scale {:e})",
+                        w.max_abs()
+                    );
+                }
+            }
+        }
+    }
+
+    #[test]
+    fn default_stacked_products_stay_single_threaded() {
+        // Each stacked matmul at the default config (and the oral preset's
+        // feature count) must stay under the tensor crate's threading
+        // threshold, or every shard worker would spawn nested matmul threads.
+        let config = RllConfig::default();
+        let rows = SHARD_GROUPS * (config.k + 2);
+        let input_dim = rll_data::presets::oral(1).unwrap().features.cols();
+        let mut dims = vec![input_dim];
+        dims.extend(&config.hidden_dims);
+        dims.push(config.embedding_dim);
+        let largest = dims.windows(2).map(|w| rows * w[0] * w[1]).max().unwrap();
+        assert_eq!(largest, 80 * 64 * 32);
+        assert!(largest < rll_tensor::matrix::PAR_MIN_WORK);
     }
 
     #[test]

@@ -59,11 +59,12 @@ pub const RULES: &[Rule] = &[
     Rule {
         id: "no-unordered-reduce",
         summary: "accumulating into a lock (`.lock()` + `+=`/`.push(`) reduces in completion \
-                  order, and `mul_add(` contracts `a*b + c` with a single rounding — both \
-                  change float reduction bits",
+                  order, `mul_add(` contracts `a*b + c` with a single rounding, and libm \
+                  `.tanh(` differs across platforms — all change the bits training produces",
         hint: "collect per-shard partials with `rll_par::map_ordered`/`try_map_ordered` and \
                fold them in shard-index order after the join; write `a * b + c` out so scalar \
-               and tiled kernels round identically (the RLL_KERNEL byte contract)",
+               and tiled kernels round identically (the RLL_KERNEL byte contract); call \
+               `rll_nn::activation::tanh`, the in-crate tanh, instead of `f64::tanh`",
     },
     Rule {
         id: "no-untimed-handler",
@@ -238,15 +239,22 @@ fn scan_panic(code: &[String]) -> Vec<Hit> {
 /// because both spell out `a * b + c` (rustc never auto-contracts); one
 /// `mul_add` in an accumulation chain silently breaks the `RLL_KERNEL`
 /// contract while looking like an innocent speedup.
+///
+/// Also flags libm's tanh (`.tanh(`, `f64::tanh`): its last bits differ
+/// between platforms' libms, and training evaluates it hundreds of times
+/// per group. The activation uses `rll_nn::activation::tanh`, built from
+/// IEEE-754 arithmetic alone.
 fn scan_unordered_reduce(code: &[String]) -> Vec<Hit> {
     let mut hits = Vec::new();
     for (li, line) in code.iter().enumerate() {
-        for col in find_bounded(line, "mul_add(") {
-            hits.push(Hit {
-                line: li,
-                col,
-                token: "mul_add(".into(),
-            });
+        for needle in ["mul_add(", ".tanh(", "f64::tanh"] {
+            for col in find_bounded(line, needle) {
+                hits.push(Hit {
+                    line: li,
+                    col,
+                    token: needle.into(),
+                });
+            }
         }
         let locks = find_bounded(line, ".lock()");
         if locks.is_empty() {
@@ -532,6 +540,30 @@ mod tests {
             scan_unordered_reduce(&one_line("v.try_lock() += 1;")).len(),
             0
         );
+    }
+
+    #[test]
+    fn unordered_reduce_flags_libm_tanh() {
+        // libm tanh is platform-dependent in its last bits: flagged in
+        // method and path form, lock or not.
+        let hits = scan_unordered_reduce(&one_line("let a = z.tanh();"));
+        assert_eq!(hits.len(), 1);
+        assert_eq!(hits[0].token, ".tanh(");
+        for path_form in ["let a = f64::tanh(z);", "let a = pre.map(f64::tanh);"] {
+            let hits = scan_unordered_reduce(&one_line(path_form));
+            assert_eq!(hits.len(), 1, "{path_form}");
+            assert_eq!(hits[0].token, "f64::tanh");
+        }
+        // The in-crate function and lookalike identifiers are fine.
+        for clean in [
+            "Activation::Tanh => tanh(z),",
+            "let a = activation::tanh(z);",
+            "let t = x.tanh_approx(1);",
+            "let t = x.atanh();",
+            "let t = f64::tanhx(z);",
+        ] {
+            assert_eq!(scan_unordered_reduce(&one_line(clean)).len(), 0, "{clean}");
+        }
     }
 
     #[test]

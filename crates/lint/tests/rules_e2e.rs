@@ -190,6 +190,27 @@ fn unordered_reduce_true_positives() {
 }
 
 #[test]
+fn libm_tanh_flagged_outside_tests_only() {
+    let report = lint(
+        "pub fn act(z: f64) -> f64 {\n\
+         \x20   z.tanh()\n\
+         }\n\
+         #[cfg(test)]\n\
+         mod tests {\n\
+         \x20   fn reference(z: f64) -> f64 { z.tanh() }\n\
+         }\n",
+    );
+    let hits = rules_hit(&report);
+    assert_eq!(
+        hits,
+        vec!["no-unordered-reduce"],
+        "violations: {:?}",
+        report.violations
+    );
+    assert_eq!(report.violations[0].line, 2);
+}
+
+#[test]
 fn read_only_lock_is_not_a_reduction() {
     let report = lint("pub fn peek(counts: &Mutex<Vec<u64>>) -> usize { counts.lock().len() }\n");
     assert!(report.is_clean(), "violations: {:?}", report.violations);

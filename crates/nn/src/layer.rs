@@ -25,12 +25,17 @@ pub struct Dense {
 }
 
 /// Cached tensors from one [`Dense::forward_cached`] call, needed by backward.
+///
+/// The layer input is not copied in: [`Dense::backward`] takes it as an
+/// argument, and in an [`crate::Mlp`] it is the previous layer's cached
+/// output.
 #[derive(Debug, Clone)]
 pub struct DenseCache {
-    /// Layer input, `batch x in_dim`.
-    pub input: Matrix,
-    /// Pre-activations `z = x W + b`, `batch x out_dim`.
-    pub pre_activation: Matrix,
+    /// Pre-activations `z = x W + b`, `batch x out_dim`. Kept only when
+    /// backward needs them: under dropout (the cached output is post-mask)
+    /// or when the activation's derivative reads `z`
+    /// ([`Activation::derivative_reads_z`]).
+    pub pre_activation: Option<Matrix>,
     /// Post-activations `a = f(z)`, `batch x out_dim`.
     pub output: Matrix,
     /// Dropout keep-mask scaled by `1 / keep_prob` (inverted dropout), or
@@ -103,8 +108,9 @@ impl Dense {
 
     /// Inference-mode forward pass (no cache, no dropout).
     pub fn forward(&self, input: &Matrix) -> Result<Matrix> {
-        let z = input.matmul_bias(&self.weights, &self.bias)?;
-        Ok(z.map(|v| self.activation.apply(v)))
+        let mut z = input.matmul_bias(&self.weights, &self.bias)?;
+        z.map_inplace(|v| self.activation.apply(v));
+        Ok(z)
     }
 
     /// Training-mode forward pass; returns output plus the cache backward
@@ -117,7 +123,15 @@ impl Dense {
         rng: &mut Rng64,
     ) -> Result<DenseCache> {
         let pre = input.matmul_bias(&self.weights, &self.bias)?;
-        let mut output = pre.map(|v| self.activation.apply(v));
+        let dropout = dropout_rate.is_some_and(|rate| rate > 0.0);
+        let (pre_activation, mut output) = if dropout || self.activation.derivative_reads_z() {
+            let output = pre.map(|v| self.activation.apply(v));
+            (Some(pre), output)
+        } else {
+            let mut output = pre;
+            output.map_inplace(|v| self.activation.apply(v));
+            (None, output)
+        };
         let dropout_mask = match dropout_rate {
             Some(rate) if rate > 0.0 => {
                 if rate >= 1.0 {
@@ -139,17 +153,22 @@ impl Dense {
             _ => None,
         };
         Ok(DenseCache {
-            input: input.clone(),
-            pre_activation: pre,
+            pre_activation,
             output,
             dropout_mask,
         })
     }
 
-    /// Backward pass. `grad_output` is `dL/d(output)` with the same shape as
-    /// the cached output. Accumulates `dL/dW` and `dL/db` into the layer's
-    /// gradient buffers and returns `dL/d(input)`.
-    pub fn backward(&mut self, cache: &DenseCache, grad_output: &Matrix) -> Result<Matrix> {
+    /// Backward pass. `input` is the batch the cached forward ran on;
+    /// `grad_output` is `dL/d(output)` with the same shape as the cached
+    /// output. Accumulates `dL/dW` and `dL/db` into the layer's gradient
+    /// buffers and returns `dL/d(input)`.
+    pub fn backward(
+        &mut self,
+        input: &Matrix,
+        cache: &DenseCache,
+        grad_output: &Matrix,
+    ) -> Result<Matrix> {
         if grad_output.shape() != cache.output.shape() {
             return Err(NnError::CacheMismatch {
                 reason: format!(
@@ -168,30 +187,37 @@ impl Dense {
         // post-mask, so recover a = f(z) from the pre-activation instead.
         let act = self.activation;
         let mut grad_pre = grad_after_dropout;
-        match &cache.dropout_mask {
-            Some(_) => {
-                for (g, &z) in grad_pre
-                    .as_mut_slice()
-                    .iter_mut()
-                    .zip(cache.pre_activation.as_slice())
-                {
+        match (&cache.pre_activation, &cache.dropout_mask) {
+            (Some(pre), Some(_)) => {
+                for (g, &z) in grad_pre.as_mut_slice().iter_mut().zip(pre.as_slice()) {
                     let a = act.apply(z);
                     *g *= act.derivative(z, a);
                 }
             }
-            None => {
+            (Some(pre), None) => {
                 for ((g, &z), &a) in grad_pre
                     .as_mut_slice()
                     .iter_mut()
-                    .zip(cache.pre_activation.as_slice())
+                    .zip(pre.as_slice())
                     .zip(cache.output.as_slice())
                 {
                     *g *= act.derivative(z, a);
                 }
             }
+            // `z` was not kept because the derivative does not read it; a
+            // NaN stand-in would poison the gradient if it ever did.
+            (None, _) => {
+                for (g, &a) in grad_pre
+                    .as_mut_slice()
+                    .iter_mut()
+                    .zip(cache.output.as_slice())
+                {
+                    *g *= act.derivative(f64::NAN, a);
+                }
+            }
         }
         // dL/dW = x^T * dL/dz, dL/db = column sums of dL/dz.
-        let gw = cache.input.matmul_tn(&grad_pre)?;
+        let gw = input.matmul_tn(&grad_pre)?;
         let gb = grad_pre.col_sums();
         match &mut self.grad_weights {
             Some(acc) => acc.add_assign(&gw)?,
@@ -241,19 +267,38 @@ impl Dense {
                 ),
             });
         }
-        if let Some(gw) = &other.grad_weights {
-            match &mut self.grad_weights {
-                Some(acc) => acc.add_assign(gw)?,
-                slot @ None => *slot = Some(gw.clone()),
-            }
+        accumulate(&mut self.grad_weights, other.grad_weights.as_ref())?;
+        accumulate(&mut self.grad_bias, other.grad_bias.as_ref())
+    }
+
+    /// Moves the accumulated gradients out, leaving the layer as after
+    /// [`Self::zero_grad`]. A gradient shard hands these to the reduce
+    /// instead of its whole network, so the weights can be freed.
+    pub fn take_grads(&mut self) -> DenseGrads {
+        DenseGrads {
+            weights: self.grad_weights.take(),
+            bias: self.grad_bias.take(),
         }
-        if let Some(gb) = &other.grad_bias {
-            match &mut self.grad_bias {
-                Some(acc) => acc.add_assign(gb)?,
-                slot @ None => *slot = Some(gb.clone()),
-            }
+    }
+
+    /// [`Self::add_grads_from`] for gradients taken with
+    /// [`Self::take_grads`] from a layer of the same shape. Same
+    /// shard-index-order rule.
+    pub fn add_grads(&mut self, grads: &DenseGrads) -> Result<()> {
+        let mismatched = |g: &Option<Matrix>, param: &Matrix| {
+            g.as_ref().is_some_and(|g| g.shape() != param.shape())
+        };
+        if mismatched(&grads.weights, &self.weights) || mismatched(&grads.bias, &self.bias) {
+            return Err(NnError::CacheMismatch {
+                reason: format!(
+                    "gradient merge into a {:?}/{:?} layer from mismatched gradients",
+                    self.weights.shape(),
+                    self.bias.shape()
+                ),
+            });
         }
-        Ok(())
+        accumulate(&mut self.grad_weights, grads.weights.as_ref())?;
+        accumulate(&mut self.grad_bias, grads.bias.as_ref())
     }
 
     /// Scales both accumulated gradients by `factor` (no-op for layers that
@@ -281,6 +326,27 @@ impl Dense {
             .unwrap_or_else(|| Matrix::zeros(1, self.bias.cols()));
         vec![(&mut self.weights, gw), (&mut self.bias, gb)]
     }
+}
+
+/// One layer's accumulated gradients, detached from its weights (see
+/// [`Dense::take_grads`]). `None` where no backward pass ran.
+#[derive(Debug, Clone, Default)]
+pub struct DenseGrads {
+    /// `dL/dW`, `in_dim x out_dim`.
+    pub weights: Option<Matrix>,
+    /// `dL/db`, `1 x out_dim`.
+    pub bias: Option<Matrix>,
+}
+
+/// Adds `grad` into the accumulator `acc` (a copy when `acc` is empty).
+fn accumulate(acc: &mut Option<Matrix>, grad: Option<&Matrix>) -> Result<()> {
+    if let Some(grad) = grad {
+        match acc {
+            Some(acc) => acc.add_assign(grad)?,
+            slot @ None => *slot = Some(grad.clone()),
+        }
+    }
+    Ok(())
 }
 
 #[cfg(test)]
@@ -363,9 +429,9 @@ mod tests {
         let x = Matrix::from_vec(1, 3, vec![0.2, -0.4, 0.6]).unwrap();
         let cache = l.forward_cached(&x, None, &mut rng).unwrap();
         let g = Matrix::ones(1, 2);
-        l.backward(&cache, &g).unwrap();
+        l.backward(&x, &cache, &g).unwrap();
         let first = l.grad_weights().unwrap().clone();
-        l.backward(&cache, &g).unwrap();
+        l.backward(&x, &cache, &g).unwrap();
         let second = l.grad_weights().unwrap();
         assert!(second.approx_eq(&first.scale(2.0), 1e-12));
         l.zero_grad();
@@ -376,10 +442,9 @@ mod tests {
     fn backward_rejects_wrong_grad_shape() {
         let mut l = layer(Activation::Relu);
         let mut rng = Rng64::seed_from_u64(5);
-        let cache = l
-            .forward_cached(&Matrix::ones(2, 3), None, &mut rng)
-            .unwrap();
-        assert!(l.backward(&cache, &Matrix::ones(1, 2)).is_err());
+        let x = Matrix::ones(2, 3);
+        let cache = l.forward_cached(&x, None, &mut rng).unwrap();
+        assert!(l.backward(&x, &cache, &Matrix::ones(1, 2)).is_err());
     }
 
     #[test]
@@ -397,7 +462,7 @@ mod tests {
             let x = Matrix::from_fn(2, 4, |r, c| 0.3 * (r as f64) - 0.2 * (c as f64) + 0.1);
             let cache = l.forward_cached(&x, None, &mut rng).unwrap();
             let grad_out = Matrix::ones(2, 3);
-            let grad_in = l.backward(&cache, &grad_out).unwrap();
+            let grad_in = l.backward(&x, &cache, &grad_out).unwrap();
             let gw = l.grad_weights().unwrap().clone();
 
             let eps = 1e-6;
@@ -443,10 +508,9 @@ mod tests {
     fn serde_round_trip_skips_grads() {
         let mut l = layer(Activation::Tanh);
         let mut rng = Rng64::seed_from_u64(5);
-        let cache = l
-            .forward_cached(&Matrix::ones(1, 3), None, &mut rng)
-            .unwrap();
-        l.backward(&cache, &Matrix::ones(1, 2)).unwrap();
+        let x = Matrix::ones(1, 3);
+        let cache = l.forward_cached(&x, None, &mut rng).unwrap();
+        l.backward(&x, &cache, &Matrix::ones(1, 2)).unwrap();
         let json = serde_json::to_string(&l).unwrap();
         let back: Dense = serde_json::from_str(&json).unwrap();
         // serde_json's default float parsing may be 1 ulp off; allow that.

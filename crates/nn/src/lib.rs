@@ -32,7 +32,7 @@ pub mod scheduler;
 
 pub use activation::Activation;
 pub use error::NnError;
-pub use layer::Dense;
+pub use layer::{Dense, DenseGrads};
 pub use mlp::{Mlp, MlpCache, MlpConfig};
 pub use optimizer::{Adam, AdamState, AdamW, GradClip, Momentum, Optimizer, RmsProp, Sgd};
 pub use scheduler::{LrSchedule, LR_FLOOR_RATIO};

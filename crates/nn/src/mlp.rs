@@ -2,7 +2,7 @@
 
 use crate::activation::Activation;
 use crate::error::NnError;
-use crate::layer::{Dense, DenseCache};
+use crate::layer::{Dense, DenseCache, DenseGrads};
 use crate::Result;
 use rll_tensor::{init::Init, Matrix, Rng64};
 use serde::{Deserialize, Serialize};
@@ -67,12 +67,16 @@ pub struct Mlp {
 }
 
 /// Per-layer caches from one training-mode forward pass.
+///
+/// Borrows the network input instead of copying it; every later layer's
+/// input is the previous layer's cached output, so nothing is stored twice.
 #[derive(Debug, Clone)]
-pub struct MlpCache {
+pub struct MlpCache<'a> {
+    input: &'a Matrix,
     caches: Vec<DenseCache>,
 }
 
-impl MlpCache {
+impl MlpCache<'_> {
     /// The network output for the cached pass.
     pub fn output(&self) -> &Matrix {
         &self
@@ -167,8 +171,12 @@ impl Mlp {
 
     /// Inference-mode forward pass (no dropout, no cache).
     pub fn forward(&self, input: &Matrix) -> Result<Matrix> {
-        let mut x = input.clone();
-        for layer in &self.layers {
+        let mut layers = self.layers.iter();
+        let Some(first) = layers.next() else {
+            return Ok(input.clone());
+        };
+        let mut x = first.forward(input)?;
+        for layer in layers {
             x = layer.forward(&x)?;
         }
         Ok(x)
@@ -176,9 +184,8 @@ impl Mlp {
 
     /// Training-mode forward pass. Dropout (if configured) applies to every
     /// hidden layer's output but never to the final embedding layer.
-    pub fn forward_cached(&self, input: &Matrix, rng: &mut Rng64) -> Result<MlpCache> {
-        let mut caches = Vec::with_capacity(self.layers.len());
-        let mut x = input.clone();
+    pub fn forward_cached<'a>(&self, input: &'a Matrix, rng: &mut Rng64) -> Result<MlpCache<'a>> {
+        let mut caches: Vec<DenseCache> = Vec::with_capacity(self.layers.len());
         let last = self.layers.len().saturating_sub(1);
         for (i, layer) in self.layers.iter().enumerate() {
             let rate = if i < last && self.dropout > 0.0 {
@@ -186,17 +193,17 @@ impl Mlp {
             } else {
                 None
             };
-            let cache = layer.forward_cached(&x, rate, rng)?;
-            x = cache.output.clone();
+            let x = caches.last().map_or(input, |prev| &prev.output);
+            let cache = layer.forward_cached(x, rate, rng)?;
             caches.push(cache);
         }
-        Ok(MlpCache { caches })
+        Ok(MlpCache { input, caches })
     }
 
     /// Backward pass for a cached forward. `grad_output` is `dL/d(output)`.
     /// Accumulates parameter gradients into each layer and returns
     /// `dL/d(input)`.
-    pub fn backward(&mut self, cache: &MlpCache, grad_output: &Matrix) -> Result<Matrix> {
+    pub fn backward(&mut self, cache: &MlpCache<'_>, grad_output: &Matrix) -> Result<Matrix> {
         if cache.caches.len() != self.layers.len() {
             return Err(NnError::CacheMismatch {
                 reason: format!(
@@ -206,11 +213,18 @@ impl Mlp {
                 ),
             });
         }
-        let mut grad = grad_output.clone();
-        for (layer, layer_cache) in self.layers.iter_mut().zip(&cache.caches).rev() {
-            grad = layer.backward(layer_cache, &grad)?;
+        let mut grad: Option<Matrix> = None;
+        for (i, layer) in self.layers.iter_mut().enumerate().rev() {
+            let input = match i.checked_sub(1) {
+                Some(prev) => &cache.caches[prev].output,
+                None => cache.input,
+            };
+            let upstream = grad.as_ref().unwrap_or(grad_output);
+            grad = Some(layer.backward(input, &cache.caches[i], upstream)?);
         }
-        Ok(grad)
+        // Mlp::new never builds an empty stack; an empty one would be the
+        // identity map, whose input gradient is the output gradient.
+        Ok(grad.unwrap_or_else(|| grad_output.clone()))
     }
 
     /// Clears all accumulated gradients.
@@ -235,6 +249,32 @@ impl Mlp {
         }
         for (layer, shard) in self.layers.iter_mut().zip(&other.layers) {
             layer.add_grads_from(shard)?;
+        }
+        Ok(())
+    }
+
+    /// Moves every layer's accumulated gradients out (see
+    /// [`Dense::take_grads`]), leaving the network as after
+    /// [`Self::zero_grad`].
+    pub fn take_grads(&mut self) -> Vec<DenseGrads> {
+        self.layers.iter_mut().map(Dense::take_grads).collect()
+    }
+
+    /// Adds gradients taken with [`Self::take_grads`] from a network of the
+    /// same shape, layer by layer. Like [`Self::add_grads_from`], call it in
+    /// shard-index order.
+    pub fn add_grads(&mut self, grads: &[DenseGrads]) -> Result<()> {
+        if self.layers.len() != grads.len() {
+            return Err(NnError::CacheMismatch {
+                reason: format!(
+                    "gradient merge across different depths: {} vs {} layers",
+                    self.layers.len(),
+                    grads.len()
+                ),
+            });
+        }
+        for (layer, shard) in self.layers.iter_mut().zip(grads) {
+            layer.add_grads(shard)?;
         }
         Ok(())
     }
@@ -339,12 +379,19 @@ mod tests {
         let mut shard_b = main.clone();
         let cb = shard_b.forward_cached(&x2, &mut rng).unwrap();
         shard_b.backward(&cb, &g2).unwrap();
+        let mut detached = main.clone();
         main.add_grads_from(&shard_a).unwrap();
         main.add_grads_from(&shard_b).unwrap();
+        // The same merge from gradients detached from their networks.
+        detached.add_grads(&shard_a.take_grads()).unwrap();
+        detached.add_grads(&shard_b.take_grads()).unwrap();
+        assert_eq!(shard_a.grad_norm(), 0.0, "take_grads leaves none behind");
 
-        for (merged, reference) in main.layers().iter().zip(flat.layers()) {
-            assert_eq!(merged.grad_weights(), reference.grad_weights());
-            assert_eq!(merged.grad_bias(), reference.grad_bias());
+        for merged in [&main, &detached] {
+            for (layer, reference) in merged.layers().iter().zip(flat.layers()) {
+                assert_eq!(layer.grad_weights(), reference.grad_weights());
+                assert_eq!(layer.grad_bias(), reference.grad_bias());
+            }
         }
     }
 
@@ -370,6 +417,13 @@ mod tests {
         )
         .unwrap();
         assert!(a.add_grads_from(&wider).is_err());
+        // Detached gradients are checked against the receiving network too.
+        for mut other in [deeper, wider] {
+            let x = Matrix::ones(2, 4);
+            let cache = other.forward_cached(&x, &mut rng).unwrap();
+            other.backward(&cache, &Matrix::ones(2, 3)).unwrap();
+            assert!(a.add_grads(&other.take_grads()).is_err());
+        }
     }
 
     #[test]
@@ -423,7 +477,8 @@ mod tests {
             ..small_config()
         };
         let mut mlp_b = Mlp::new(&cfg_b, &mut rng).unwrap();
-        let cache = mlp_a.forward_cached(&Matrix::ones(1, 4), &mut rng).unwrap();
+        let x = Matrix::ones(1, 4);
+        let cache = mlp_a.forward_cached(&x, &mut rng).unwrap();
         assert!(mlp_b.backward(&cache, &Matrix::ones(1, 3)).is_err());
     }
 
@@ -484,7 +539,8 @@ mod tests {
         let mut rng = Rng64::seed_from_u64(7);
         let mut mlp = Mlp::new(&small_config(), &mut rng).unwrap();
         assert_eq!(mlp.grad_norm(), 0.0);
-        let cache = mlp.forward_cached(&Matrix::ones(1, 4), &mut rng).unwrap();
+        let x = Matrix::ones(1, 4);
+        let cache = mlp.forward_cached(&x, &mut rng).unwrap();
         mlp.backward(&cache, &Matrix::ones(1, 3)).unwrap();
         assert!(mlp.grad_norm() > 0.0);
         mlp.zero_grad();
@@ -495,7 +551,8 @@ mod tests {
     fn scale_grads_halves_norm() {
         let mut rng = Rng64::seed_from_u64(8);
         let mut mlp = Mlp::new(&small_config(), &mut rng).unwrap();
-        let cache = mlp.forward_cached(&Matrix::ones(1, 4), &mut rng).unwrap();
+        let x = Matrix::ones(1, 4);
+        let cache = mlp.forward_cached(&x, &mut rng).unwrap();
         mlp.backward(&cache, &Matrix::ones(1, 3)).unwrap();
         let before = mlp.grad_norm();
         mlp.scale_grads(0.5);
@@ -510,7 +567,8 @@ mod tests {
             ..small_config()
         };
         let mlp = Mlp::new(&cfg, &mut rng).unwrap();
-        let cache = mlp.forward_cached(&Matrix::ones(10, 4), &mut rng).unwrap();
+        let x = Matrix::ones(10, 4);
+        let cache = mlp.forward_cached(&x, &mut rng).unwrap();
         assert!(cache.caches[0].dropout_mask.is_some());
         assert!(cache.caches[1].dropout_mask.is_none());
     }

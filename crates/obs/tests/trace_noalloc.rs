@@ -1,10 +1,12 @@
 //! The "zero-cost when disabled" contract of [`rll_obs::TraceCtx`].
 //!
 //! Lives in its own integration-test binary because it installs a counting
-//! `#[global_allocator]`; sharing a binary with other tests would make the
-//! counters racy.
+//! `#[global_allocator]`. The allocator counts only on a thread that has
+//! opened a measuring window, so tests running on other threads of this
+//! binary cannot leak allocations into the count.
 
 use std::alloc::{GlobalAlloc, Layout, System};
+use std::cell::Cell;
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Arc;
 
@@ -14,9 +16,16 @@ struct CountingAllocator {
     allocations: AtomicU64,
 }
 
+thread_local! {
+    /// True while this thread's allocations are being counted.
+    static MEASURING: Cell<bool> = const { Cell::new(false) };
+}
+
 unsafe impl GlobalAlloc for CountingAllocator {
     unsafe fn alloc(&self, layout: Layout) -> *mut u8 {
-        self.allocations.fetch_add(1, Ordering::SeqCst);
+        if MEASURING.try_with(Cell::get).unwrap_or(false) {
+            self.allocations.fetch_add(1, Ordering::SeqCst);
+        }
         System.alloc(layout)
     }
 
@@ -46,6 +55,7 @@ fn disabled_trace_span_path_is_allocation_free_and_silent() {
     let _ = ctx.id();
 
     let before = allocation_count();
+    MEASURING.with(|m| m.set(true));
     for _ in 0..100 {
         // The full per-request span path a disabled server walks: clone into
         // the engine, read the clock, record phases, finish.
@@ -58,6 +68,7 @@ fn disabled_trace_span_path_is_allocation_free_and_silent() {
             recorder.emit(rll_obs::EventKind::Trace(record));
         }
     }
+    MEASURING.with(|m| m.set(false));
     let after = allocation_count();
 
     assert_eq!(

@@ -14,8 +14,10 @@ use std::fmt;
 /// Multiply-add count (`m·k·n`) below which matmuls stay on the calling
 /// thread: scoped-thread spawns cost more than they save on the small
 /// per-group products that dominate training, while the batch-embed and
-/// backward products sit far above this line.
-const PAR_MIN_WORK: usize = 1 << 18;
+/// backward products sit far above this line. The trainer's stacked shard
+/// products stay below it at the default config (asserted in `rll-core`), so
+/// shard workers never spawn nested matmul threads.
+pub const PAR_MIN_WORK: usize = 1 << 18;
 
 /// Effective worker count for an `m·k·n` product. The work estimate uses
 /// [`rll_par::saturating_work`] so adversarial shapes saturate instead of
