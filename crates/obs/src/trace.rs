@@ -3,8 +3,8 @@
 //! A [`TraceCtx`] follows one HTTP request from socket read to socket write
 //! and records where its wall-clock time went as a flat list of
 //! [`Phase`]-stamped intervals. The context is created per request by the
-//! server's connection loop, threaded through the inference engine (queue →
-//! batch → forward), and finished into a [`TraceRecord`] — a serde-typed
+//! server's connection loop, threaded through the inference engine (cache
+//! lookup → forward), and finished into a [`TraceRecord`] — a serde-typed
 //! `trace/v1` event that flows through the normal [`crate::Sink`] fan-out.
 //!
 //! # Trace ids
@@ -60,13 +60,11 @@ pub fn trace_id(conn_seq: u64, req_seq: u64) -> u64 {
 pub enum Phase {
     /// Reading + parsing the HTTP request head and body.
     Parse,
-    /// Sitting in the engine's bounded queue awaiting a worker.
-    QueueWait,
-    /// Worker assembling the drained jobs into one input matrix.
-    BatchAssembly,
-    /// The model forward pass (normalize + embed) for the batch.
+    /// The model forward pass (normalize + embed) over the request's cache
+    /// misses.
     Forward,
-    /// Served from the LRU cache; replaces the queue/batch/forward phases.
+    /// Rows served from the LRU cache (the lookup); a request whose rows all
+    /// hit has no forward phase.
     CacheHit,
     /// Validating a crowd vote and appending it to the label WAL.
     Ingest,
@@ -83,8 +81,6 @@ impl Phase {
     pub fn name(self) -> &'static str {
         match self {
             Phase::Parse => "parse",
-            Phase::QueueWait => "queue_wait",
-            Phase::BatchAssembly => "batch_assembly",
             Phase::Forward => "forward",
             Phase::CacheHit => "cache_hit",
             Phase::Ingest => "ingest",
@@ -95,14 +91,12 @@ impl Phase {
     }
 
     /// Every phase, in lifecycle order (the order a cache-missing request
-    /// passes through them; `cache_hit` short-circuits the middle four, and
-    /// the label-path phases only appear on `/label` requests or retrain
-    /// round traces).
-    pub fn all() -> [Phase; 9] {
+    /// passes through them; `cache_hit` replaces `forward` when every row
+    /// hits, and the label-path phases only appear on `/label` requests or
+    /// retrain round traces).
+    pub fn all() -> [Phase; 7] {
         [
             Phase::Parse,
-            Phase::QueueWait,
-            Phase::BatchAssembly,
             Phase::Forward,
             Phase::CacheHit,
             Phase::Ingest,
@@ -298,11 +292,11 @@ mod tests {
     fn recording_ctx_collects_sorted_phases() {
         let ctx = TraceCtx::recording(4, 0);
         assert!(ctx.is_enabled());
-        // Record out of order, as an engine worker would.
+        // Record out of order, through the original and a clone.
         ctx.record(Phase::Forward, 0.020, 0.003);
         ctx.record(Phase::Parse, 0.001, 0.002);
         let clone = ctx.clone();
-        clone.record(Phase::QueueWait, 0.004, 0.010);
+        clone.record(Phase::CacheHit, 0.004, 0.010);
         let record = ctx.finish("POST", "/embed", 200).unwrap();
         assert_eq!(record.schema, TRACE_SCHEMA);
         assert_eq!(record.trace_id, ctx.id_hex());
@@ -311,7 +305,7 @@ mod tests {
         assert_eq!(record.status, 200);
         assert!(record.total_secs >= 0.0);
         let names: Vec<&str> = record.phases.iter().map(|p| p.phase.as_str()).collect();
-        assert_eq!(names, vec!["parse", "queue_wait", "forward"]);
+        assert_eq!(names, vec!["parse", "cache_hit", "forward"]);
         assert!(record
             .phases
             .windows(2)
@@ -335,8 +329,6 @@ mod tests {
             names,
             vec![
                 "parse",
-                "queue_wait",
-                "batch_assembly",
                 "forward",
                 "cache_hit",
                 "ingest",

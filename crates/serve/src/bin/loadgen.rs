@@ -93,16 +93,11 @@ struct LatencySummary {
     max: f64,
 }
 
-/// Server-side split of where request time went, from the engine's
-/// `serve.queue.wait_ms` and `serve.phase.*` histograms: total seconds spent
-/// waiting in the bounded queue vs computing (batch assembly + forward).
-/// `queue_wait_share` near 1 means the server is saturated (add workers or
-/// shed load); near 0 means latency is compute-bound.
+/// Server-side compute, from the engine's `serve.phase.forward` histogram:
+/// total seconds spent in forward passes over the run.
 #[derive(Debug, Serialize, Deserialize)]
 struct PhaseBreakdown {
-    queue_wait_secs: f64,
     compute_secs: f64,
-    queue_wait_share: f64,
 }
 
 #[derive(Debug, Serialize, Deserialize)]
@@ -112,9 +107,10 @@ struct CacheSummary {
     hit_rate: f64,
 }
 
+/// Rows per forward pass (`serve.batch.size`): the cache misses of one
+/// request.
 #[derive(Debug, Serialize, Deserialize)]
 struct BatchSummary {
-    batches: u64,
     mean_size: f64,
     max_size: f64,
 }
@@ -545,7 +541,7 @@ fn run(args: &Args) -> Result<(BenchSummary, Option<LabelSoakSummary>), String> 
     let mut latencies = stats.latencies;
     let (succeeded, failed) = (stats.succeeded, stats.failed);
 
-    // Server-side counters for cache and batching behaviour.
+    // Server-side counters for cache and forward-pass behaviour.
     let metrics = probe
         .call("GET", "/metrics", None)
         .ok_or_else(|| "metrics request failed".to_string())?;
@@ -565,24 +561,18 @@ fn run(args: &Args) -> Result<(BenchSummary, Option<LabelSoakSummary>), String> 
     } else {
         0.0
     };
-    let batches = metrics
-        .counters
-        .get("serve.engine.batches")
-        .copied()
-        .unwrap_or(0);
     let (mean_size, max_size) = metrics
         .histograms
         .get("serve.batch.size")
         .map_or((0.0, 0.0), |h| (h.mean, h.max));
-    let histogram_sum = |name: &str| metrics.histograms.get(name).map_or(0.0, |h| h.sum);
-    let queue_wait_secs = histogram_sum("serve.queue.wait_ms") / 1e3;
-    let compute_secs =
-        histogram_sum("serve.phase.batch_assembly") + histogram_sum("serve.phase.forward");
-    let busy = queue_wait_secs + compute_secs;
+    let compute_secs = metrics
+        .histograms
+        .get("serve.phase.forward")
+        .map_or(0.0, |h| h.sum);
 
     latencies.sort_by(f64::total_cmp);
     let summary = BenchSummary {
-        schema: "serve_bench/v2".to_string(),
+        schema: "serve_bench/v3".to_string(),
         addr: args.addr.clone(),
         seed: args.seed,
         requests: args.requests,
@@ -613,19 +603,10 @@ fn run(args: &Args) -> Result<(BenchSummary, Option<LabelSoakSummary>), String> 
             hit_rate,
         },
         batch: BatchSummary {
-            batches,
             mean_size,
             max_size,
         },
-        phases: PhaseBreakdown {
-            queue_wait_secs,
-            compute_secs,
-            queue_wait_share: if busy > 0.0 {
-                queue_wait_secs / busy
-            } else {
-                0.0
-            },
-        },
+        phases: PhaseBreakdown { compute_secs },
     };
 
     let soak = if args.labels {

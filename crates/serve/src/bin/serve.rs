@@ -4,8 +4,8 @@
 //!
 //! ```text
 //! serve train-demo [--out PATH] [--preset oral|class] [--n N] [--epochs N] [--seed N] [--profile]
-//! serve --checkpoint PATH [--addr HOST:PORT] [--workers N] [--batch N]
-//!       [--queue N] [--cache N] [--port-file PATH] [--trace-out PATH]
+//! serve --checkpoint PATH [--addr HOST:PORT] [--cache N] [--port-file PATH]
+//!       [--trace-out PATH]
 //!       [--labels-dir DIR] [--labels-shards N] [--labels-segment N]
 //!       [--labels-estimator mle|bayesian] [--live-preset oral|class]
 //!       [--live-n N] [--live-seed N] [--live-workers N]
@@ -65,9 +65,6 @@ struct TrainDemoArgs {
 struct ServeArgs {
     checkpoint: String,
     addr: String,
-    workers: usize,
-    batch: usize,
-    queue: usize,
     cache: usize,
     port_file: Option<String>,
     trace_out: Option<String>,
@@ -92,7 +89,7 @@ struct ServeArgs {
 
 const USAGE: &str = "usage:
   serve train-demo [--out PATH] [--preset oral|class] [--n N] [--epochs N] [--seed N] [--profile]
-  serve --checkpoint PATH [--addr HOST:PORT] [--workers N] [--batch N] [--queue N] [--cache N] [--port-file PATH] [--trace-out PATH]
+  serve --checkpoint PATH [--addr HOST:PORT] [--cache N] [--port-file PATH] [--trace-out PATH]
         [--labels-dir DIR] [--labels-shards N] [--labels-segment N] [--labels-estimator mle|bayesian]
         [--live-preset oral|class] [--live-n N] [--live-seed N] [--live-workers N]
         [--retrain-votes N] [--retrain-epochs N] [--retrain-trigger votes|drift]
@@ -164,14 +161,10 @@ fn parse_train_demo(args: &[String]) -> Result<TrainDemoArgs, String> {
 }
 
 fn parse_serve(args: &[String]) -> Result<ServeArgs, String> {
-    let defaults = EngineConfig::default();
     let mut out = ServeArgs {
         checkpoint: String::new(),
         addr: "127.0.0.1:7878".to_string(),
-        workers: defaults.workers,
-        batch: defaults.max_batch,
-        queue: defaults.queue_capacity,
-        cache: defaults.cache_capacity,
+        cache: EngineConfig::default().cache_capacity,
         port_file: None,
         trace_out: None,
         labels_dir: None,
@@ -197,21 +190,6 @@ fn parse_serve(args: &[String]) -> Result<ServeArgs, String> {
         match args[i].as_str() {
             "--checkpoint" => out.checkpoint = take_value(args, &mut i, "--checkpoint")?,
             "--addr" => out.addr = take_value(args, &mut i, "--addr")?,
-            "--workers" => {
-                out.workers = take_value(args, &mut i, "--workers")?
-                    .parse()
-                    .map_err(|_| "invalid --workers".to_string())?
-            }
-            "--batch" => {
-                out.batch = take_value(args, &mut i, "--batch")?
-                    .parse()
-                    .map_err(|_| "invalid --batch".to_string())?
-            }
-            "--queue" => {
-                out.queue = take_value(args, &mut i, "--queue")?
-                    .parse()
-                    .map_err(|_| "invalid --queue".to_string())?
-            }
             "--cache" => {
                 out.cache = take_value(args, &mut i, "--cache")?
                     .parse()
@@ -418,9 +396,6 @@ fn run_server(args: &ServeArgs) -> Result<(), Box<dyn std::error::Error>> {
     let engine = InferenceEngine::start(
         ServingModel::from_checkpoint(checkpoint),
         EngineConfig {
-            workers: args.workers,
-            queue_capacity: args.queue,
-            max_batch: args.batch,
             cache_capacity: args.cache,
         },
         recorder.clone(),

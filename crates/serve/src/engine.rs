@@ -1,32 +1,33 @@
-//! Micro-batched inference engine.
+//! Inline inference engine.
 //!
-//! A fixed pool of `std::thread` workers drains a **bounded** request queue.
-//! Each wake-up coalesces up to `max_batch` pending feature vectors into one
-//! matrix and runs a single [`RllModel::embed`] forward pass — the matmul
-//! then amortizes per-call overhead across the batch. Because every output
-//! row of the forward pass depends only on its own input row, batched and
-//! unbatched inference produce **bit-identical** embeddings (a property the
+//! A request runs start to finish on the caller's thread (the HTTP
+//! connection handler): every row is validated, looked up in a hand-rolled
+//! [`LruCache`] keyed on the FNV-1a hash of the *raw* feature vector, and
+//! only the cache misses are stacked into one matrix for a single
+//! [`ServingModel::embed_matrix`] forward pass. A multi-row `/embed` costs
+//! one forward pass; `/score` is one 2-row pass. Because every output row of
+//! the forward pass depends only on its own input row, how rows are grouped
+//! into passes never changes a bit of the result (a property the
 //! integration tests pin down with exact float equality).
 //!
-//! Backpressure: when the queue is at capacity, [`InferenceEngine::embed`]
-//! fails fast with [`ServeError::QueueFull`] instead of growing without
-//! bound; the HTTP layer maps that to `503` so clients retry with jitter.
-//!
-//! Caching: results are memoized in a hand-rolled [`LruCache`] keyed on the
-//! FNV-1a hash of the *raw* feature vector, so repeated queries skip the
-//! queue and the forward pass entirely.
+//! There is no queue and no worker pool: concurrency comes from the
+//! connection threads themselves, and backpressure sits on the resource that
+//! is actually bounded — the server's connection cap
+//! ([`crate::ServerConfig::max_connections`]).
 //!
 //! Hot reload: the serving model lives behind an `RwLock<Arc<ServingModel>>`.
-//! [`InferenceEngine::reload`] swaps in a new model without restarting the
-//! worker pool, and clears the embedding cache (cached rows were computed by
-//! the old weights). Each batch captures one `Arc` for its whole forward
-//! pass, so a swap mid-flight never mixes weights within a batch.
+//! [`InferenceEngine::reload`] swaps in a new model and clears the embedding
+//! cache (cached rows were computed by the old weights). Each request
+//! captures one `Arc` for its whole forward pass, so a swap mid-flight never
+//! mixes weights within a request. A reload generation, read before that
+//! capture, stops a request that raced a reload from caching rows the old
+//! weights computed.
 //!
-//! Locking: every lock is a rank-annotated wrapper from
-//! [`rll_par::lockorder`] — workers(10) < model(20) < queue(30) < cache(40)
-//! — so any nested acquisition must climb the ladder. The ranks mirror the
-//! static lock graph `rll-lint` emits (`results/lock_graph.json`), and debug
-//! builds assert them at runtime on every acquisition.
+//! Locking: both locks are rank-annotated wrappers from
+//! [`rll_par::lockorder`] — model(20) < cache(40) — and the engine never
+//! holds them together. The ranks mirror the static lock graph `rll-lint`
+//! emits (`results/lock_graph.json`), and debug builds assert them at
+//! runtime on every acquisition.
 
 use crate::checkpoint::Checkpoint;
 use crate::error::ServeError;
@@ -34,26 +35,16 @@ use crate::lru::LruCache;
 use crate::Result;
 use rll_core::RllModel;
 use rll_data::Normalizer;
-use rll_obs::{Histogram, Phase, Recorder, Stopwatch, TraceCtx};
-use rll_par::{OrderedCondvar, OrderedMutex, OrderedRwLock};
+use rll_obs::{Counter, Histogram, Phase, Recorder, Stopwatch, TraceCtx};
+use rll_par::{OrderedMutex, OrderedRwLock};
 use rll_tensor::hash::fnv1a_f64s;
 use rll_tensor::Matrix;
-use std::collections::VecDeque;
-use std::sync::atomic::{AtomicBool, Ordering};
-use std::sync::mpsc;
+use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
 use std::sync::Arc;
-use std::thread::JoinHandle;
 
-/// Tuning knobs for the worker pool.
+/// Engine tuning knobs.
 #[derive(Debug, Clone, PartialEq)]
 pub struct EngineConfig {
-    /// Worker threads draining the queue.
-    pub workers: usize,
-    /// Bounded queue capacity; submissions beyond it are rejected
-    /// ([`ServeError::QueueFull`]).
-    pub queue_capacity: usize,
-    /// Maximum feature vectors coalesced into one forward pass.
-    pub max_batch: usize,
     /// LRU embedding-cache entries (0 disables caching).
     pub cache_capacity: usize,
 }
@@ -61,25 +52,8 @@ pub struct EngineConfig {
 impl Default for EngineConfig {
     fn default() -> Self {
         EngineConfig {
-            workers: 2,
-            queue_capacity: 256,
-            max_batch: 16,
             cache_capacity: 1024,
         }
-    }
-}
-
-impl EngineConfig {
-    fn validate(&self) -> Result<()> {
-        if self.workers == 0 || self.max_batch == 0 || self.queue_capacity == 0 {
-            return Err(ServeError::InvalidConfig {
-                reason: format!(
-                    "workers ({}), max_batch ({}) and queue_capacity ({}) must all be positive",
-                    self.workers, self.max_batch, self.queue_capacity
-                ),
-            });
-        }
-        Ok(())
     }
 }
 
@@ -122,50 +96,61 @@ impl ServingModel {
     }
 }
 
-struct Job {
-    features: Vec<f64>,
-    key: u64,
-    reply: mpsc::Sender<Result<Vec<f64>>>,
-    /// Request trace this job belongs to; disabled contexts make every
-    /// `record` a no-op, so the field costs two words + a null `Arc`.
-    trace: TraceCtx,
-    /// Trace-clock offset at enqueue (`trace.now()`), for the queue-wait
-    /// phase's start timestamp.
-    queued_at: f64,
-    /// Wall clock started at enqueue; read at dequeue for the
-    /// `serve.queue.wait_ms` histogram even when tracing is off.
-    queued: Stopwatch,
-}
-
-/// Upper bucket edges for `serve.queue.wait_ms`: the latency bounds scaled
-/// to milliseconds (0.1 ms .. 10 s).
-fn queue_wait_ms_bounds() -> Vec<f64> {
-    Histogram::default_latency_bounds()
-        .into_iter()
-        .map(|b| b * 1e3)
-        .collect()
+/// Metric handles resolved once at start, so the request path never takes
+/// the registry lock.
+struct EngineMetrics {
+    hits: Counter,
+    misses: Counter,
+    cache_hit: Histogram,
+    forward: Histogram,
+    /// Rows per forward pass (the cache misses of one request).
+    batch_size: Histogram,
 }
 
 struct Shared {
-    queue: OrderedMutex<VecDeque<Job>>,
-    not_empty: OrderedCondvar,
     shutdown: AtomicBool,
     model: OrderedRwLock<Arc<ServingModel>>,
+    /// Bumped by every reload, under the cache lock, after the model swap.
+    /// Its loads are `Acquire` and the bump `AcqRel`; the argument in
+    /// [`Shared::cache_rows`] rests on the model and cache locks, which
+    /// order every access that matters.
+    generation: AtomicU64,
     cache: OrderedMutex<LruCache<Vec<f64>>>,
     recorder: Recorder,
-    config: EngineConfig,
+    metrics: EngineMetrics,
+}
+
+/// The model one request runs on, and the reload generation read before it
+/// was captured.
+struct Snapshot {
+    generation: u64,
+    model: Arc<ServingModel>,
 }
 
 impl Shared {
-    /// Snapshot of the current model. Callers hold the `Arc`, not the lock,
-    /// so a concurrent reload never blocks on an in-flight forward pass.
-    ///
-    /// The ordered wrappers already recover from poisoning: a panicking
-    /// worker must not wedge the whole server, and every guarded structure
-    /// here is valid after any partial mutation (the queue is a VecDeque,
-    /// the cache re-checks its own links).
-    fn model(&self) -> Arc<ServingModel> {
-        Arc::clone(&self.model.read())
+    /// Callers hold the `Arc`, not the lock, so a concurrent reload never
+    /// blocks on an in-flight forward pass. The ordered wrappers recover from
+    /// poisoning: a panicking caller must not wedge the whole server, and
+    /// the cache re-checks its own links.
+    fn snapshot(&self) -> Snapshot {
+        // Generation first: a model captured before a reload's swap is then
+        // paired with a generation the reload has since bumped.
+        let generation = self.generation.load(Ordering::Acquire);
+        let model = Arc::clone(&self.model.read());
+        Snapshot { generation, model }
+    }
+
+    /// Caches freshly computed rows, unless a reload bumped the generation
+    /// since `generation` was read: those rows may come from the old
+    /// weights. A reload that bumps after this check clears them anyway.
+    fn cache_rows(&self, generation: u64, rows: Vec<(u64, Vec<f64>)>) {
+        let mut cache = self.cache.lock();
+        if self.generation.load(Ordering::Acquire) != generation {
+            return;
+        }
+        for (key, row) in rows {
+            cache.insert(key, row);
+        }
     }
 }
 
@@ -174,55 +159,53 @@ impl Shared {
 #[derive(Clone)]
 pub struct InferenceEngine {
     shared: Arc<Shared>,
-    workers: Arc<OrderedMutex<Vec<JoinHandle<()>>>>,
 }
 
 impl InferenceEngine {
-    /// Spawns the worker pool and returns the engine handle.
+    /// Builds the engine around `model`. Starts no threads.
     pub fn start(model: ServingModel, config: EngineConfig, recorder: Recorder) -> Result<Self> {
-        config.validate()?;
-        let shared = Arc::new(Shared {
-            queue: OrderedMutex::new("queue", 30, VecDeque::with_capacity(config.queue_capacity)),
-            not_empty: OrderedCondvar::new(),
-            shutdown: AtomicBool::new(false),
-            model: OrderedRwLock::new("model", 20, Arc::new(model)),
-            cache: OrderedMutex::new("cache", 40, LruCache::new(config.cache_capacity)),
-            recorder,
-            config: config.clone(),
-        });
-        let mut workers = Vec::with_capacity(config.workers);
-        for i in 0..config.workers {
-            let worker_shared = Arc::clone(&shared);
-            let handle = std::thread::Builder::new()
-                .name(format!("serve-worker-{i}"))
-                .spawn(move || worker_loop(&worker_shared))
-                .map_err(|e| ServeError::io("spawn worker thread", e))?;
-            workers.push(handle);
-        }
+        let registry = recorder.metrics();
+        let metrics = EngineMetrics {
+            hits: registry.counter("serve.cache.hits"),
+            misses: registry.counter("serve.cache.misses"),
+            cache_hit: registry.latency_histogram("serve.phase.cache_hit"),
+            forward: registry.latency_histogram("serve.phase.forward"),
+            batch_size: registry.histogram(
+                "serve.batch.size",
+                &[1.0, 2.0, 4.0, 8.0, 16.0, 32.0, 64.0, 128.0],
+            ),
+        };
         Ok(InferenceEngine {
-            shared,
-            workers: Arc::new(OrderedMutex::new("workers", 10, workers)),
+            shared: Arc::new(Shared {
+                shutdown: AtomicBool::new(false),
+                model: OrderedRwLock::new("model", 20, Arc::new(model)),
+                generation: AtomicU64::new(0),
+                cache: OrderedMutex::new("cache", 40, LruCache::new(config.cache_capacity)),
+                recorder,
+                metrics,
+            }),
         })
     }
 
     /// The model currently being served. Returns an owned `Arc` snapshot: a
     /// concurrent [`reload`](Self::reload) does not invalidate it.
     pub fn model(&self) -> Arc<ServingModel> {
-        self.shared.model()
+        self.shared.snapshot().model
     }
 
-    /// Hot-swaps the serving model without restarting the worker pool.
+    /// Hot-swaps the serving model.
     ///
     /// The embedding cache is cleared (its entries were computed by the old
-    /// weights), and in-flight batches finish on whichever model snapshot
-    /// they captured — a batch never mixes weights. The new model may have
+    /// weights), and in-flight requests finish on whichever model snapshot
+    /// they captured without caching its rows. The new model may have
     /// different dimensions; subsequent requests are validated against it.
     pub fn reload(&self, model: ServingModel) {
+        *self.shared.model.write() = Arc::new(model);
         {
-            let mut slot = self.shared.model.write();
-            *slot = Arc::new(model);
+            let mut cache = self.shared.cache.lock();
+            self.shared.generation.fetch_add(1, Ordering::AcqRel);
+            cache.clear();
         }
-        self.shared.cache.lock().clear();
         self.shared
             .recorder
             .metrics()
@@ -230,37 +213,31 @@ impl InferenceEngine {
             .inc();
     }
 
-    /// Embeds one raw feature vector, waiting for the batch it lands in.
+    /// Embeds one raw feature vector.
     ///
-    /// Returns immediately on a cache hit. Fails fast with
-    /// [`ServeError::QueueFull`] under backpressure and
-    /// [`ServeError::DimMismatch`]/[`ServeError::InvalidRequest`] on bad
-    /// input.
+    /// Fails with [`ServeError::DimMismatch`]/[`ServeError::InvalidRequest`]
+    /// on bad input and [`ServeError::EngineShutdown`] after
+    /// [`shutdown`](Self::shutdown).
     pub fn embed(&self, features: Vec<f64>) -> Result<Vec<f64>> {
         self.embed_traced(features, &TraceCtx::disabled(0, 0))
     }
 
-    /// [`embed`](Self::embed) with a request trace: queue-wait, batch
-    /// assembly, forward (or cache-hit) phases land in `trace`.
+    /// [`embed`](Self::embed) with a request trace: the forward (or
+    /// cache-hit) phase lands in `trace`.
     pub fn embed_traced(&self, features: Vec<f64>, trace: &TraceCtx) -> Result<Vec<f64>> {
-        let rx = self.submit(features, trace)?;
-        match rx {
-            Submitted::Cached(hit) => Ok(hit),
-            Submitted::Pending(rx) => rx
-                .recv()
-                .map_err(|_| ServeError::EngineShutdown)
-                .and_then(|r| r),
-        }
+        let mut rows = self.embed_rows(vec![features], trace)?;
+        rows.pop().ok_or_else(|| ServeError::InvalidRequest {
+            reason: "no embedding produced".into(),
+        })
     }
 
-    /// Embeds several vectors, preserving order. Each row rides the shared
-    /// micro-batching queue, so concurrent calls coalesce.
+    /// Embeds several vectors, preserving order, with one forward pass over
+    /// the rows the cache does not hold.
     pub fn embed_many(&self, rows: Vec<Vec<f64>>) -> Result<Vec<Vec<f64>>> {
         self.embed_many_traced(rows, &TraceCtx::disabled(0, 0))
     }
 
-    /// [`embed_many`](Self::embed_many) with a request trace shared by every
-    /// row (phases of different rows are distinguishable by start time only).
+    /// [`embed_many`](Self::embed_many) with a request trace.
     pub fn embed_many_traced(
         &self,
         rows: Vec<Vec<f64>>,
@@ -271,22 +248,7 @@ impl InferenceEngine {
                 reason: "empty feature batch".into(),
             });
         }
-        // Submit everything first so one wave of workers can coalesce it…
-        let pending: Vec<Submitted> = rows
-            .into_iter()
-            .map(|row| self.submit(row, trace))
-            .collect::<Result<_>>()?;
-        // …then collect in submission order.
-        pending
-            .into_iter()
-            .map(|p| match p {
-                Submitted::Cached(hit) => Ok(hit),
-                Submitted::Pending(rx) => rx
-                    .recv()
-                    .map_err(|_| ServeError::EngineShutdown)
-                    .and_then(|r| r),
-            })
-            .collect()
+        self.embed_rows(rows, trace)
     }
 
     /// Cosine relevance between the embeddings of two raw feature vectors —
@@ -298,17 +260,12 @@ impl InferenceEngine {
 
     /// [`score`](Self::score) with a request trace.
     pub fn score_traced(&self, a: Vec<f64>, b: Vec<f64>, trace: &TraceCtx) -> Result<f64> {
-        let embedded = self.embed_many_traced(vec![a, b], trace)?;
+        let embedded = self.embed_rows(vec![a, b], trace)?;
         rll_tensor::ops::cosine_similarity(&embedded[0], &embedded[1]).map_err(|e| {
             ServeError::InvalidRequest {
                 reason: format!("cosine similarity failed: {e}"),
             }
         })
-    }
-
-    /// Current queue depth (for metrics/tests).
-    pub fn queue_depth(&self) -> usize {
-        self.shared.queue.lock().len()
     }
 
     /// Lifetime cache hit/miss counts.
@@ -317,192 +274,85 @@ impl InferenceEngine {
         (cache.hits(), cache.misses())
     }
 
-    /// Stops the workers and waits for them to exit. In-flight requests
-    /// complete; queued-but-undrained requests get [`ServeError::EngineShutdown`].
+    /// Refuses every later request with [`ServeError::EngineShutdown`].
+    /// Requests already past the check finish normally.
     pub fn shutdown(&self) {
         self.shared.shutdown.store(true, Ordering::SeqCst);
-        self.shared.not_empty.notify_all();
-        // workers(10) is held across the join and the queue(30) drain below —
-        // the one deliberately nested acquisition in the engine, and it
-        // climbs the rank ladder.
-        let mut workers = self.workers.lock();
-        for handle in workers.drain(..) {
-            // A worker that panicked already poisoned nothing we rely on;
-            // ignore its join error and keep shutting down.
-            let _ = handle.join();
-        }
-        // Anything still queued will never be drained: fail it explicitly.
-        let mut queue = self.shared.queue.lock();
-        for job in queue.drain(..) {
-            let _ = job.reply.send(Err(ServeError::EngineShutdown));
-        }
     }
 
-    fn submit(&self, features: Vec<f64>, trace: &TraceCtx) -> Result<Submitted> {
-        if self.shared.shutdown.load(Ordering::SeqCst) {
+    /// Validate, look up, run one forward pass over the misses, cache them,
+    /// and answer in request order.
+    fn embed_rows(&self, rows: Vec<Vec<f64>>, trace: &TraceCtx) -> Result<Vec<Vec<f64>>> {
+        let shared = &*self.shared;
+        if shared.shutdown.load(Ordering::SeqCst) {
             return Err(ServeError::EngineShutdown);
         }
-        let expected = self.shared.model().input_dim();
-        if features.len() != expected {
-            return Err(ServeError::DimMismatch {
-                what: "request feature vector",
-                expected,
-                actual: features.len(),
-            });
-        }
-        if features.iter().any(|v| !v.is_finite()) {
-            return Err(ServeError::InvalidRequest {
-                reason: "features must be finite".into(),
-            });
-        }
-        let metrics = self.shared.recorder.metrics();
-        let key = fnv1a_f64s(&features);
-        let lookup_start = trace.now();
-        let lookup = Stopwatch::start();
-        if let Some(hit) = self.shared.cache.lock().get(key) {
-            let secs = lookup.elapsed_secs();
-            metrics.counter("serve.cache.hits").inc();
-            metrics
-                .latency_histogram("serve.phase.cache_hit")
-                .observe(secs);
-            trace.record(Phase::CacheHit, lookup_start, secs);
-            return Ok(Submitted::Cached(hit));
-        }
-        metrics.counter("serve.cache.misses").inc();
-        let (tx, rx) = mpsc::channel();
-        {
-            let mut queue = self.shared.queue.lock();
-            if queue.len() >= self.shared.config.queue_capacity {
-                metrics.counter("serve.queue.rejected").inc();
-                return Err(ServeError::QueueFull {
-                    capacity: self.shared.config.queue_capacity,
+        let Snapshot { generation, model } = shared.snapshot();
+        let dim = model.input_dim();
+        for row in &rows {
+            if row.len() != dim {
+                return Err(ServeError::DimMismatch {
+                    what: "request feature vector",
+                    expected: dim,
+                    actual: row.len(),
                 });
             }
-            queue.push_back(Job {
-                features,
-                key,
-                reply: tx,
-                trace: trace.clone(),
-                queued_at: trace.now(),
-                queued: Stopwatch::start(),
-            });
-            metrics.gauge("serve.queue.depth").set(queue.len() as f64);
+            if row.iter().any(|v| !v.is_finite()) {
+                return Err(ServeError::InvalidRequest {
+                    reason: "features must be finite".into(),
+                });
+            }
         }
-        metrics.counter("serve.queue.submitted").inc();
-        self.shared.not_empty.notify_one();
-        Ok(Submitted::Pending(rx))
-    }
-}
+        let keys: Vec<u64> = rows.iter().map(|row| fnv1a_f64s(row)).collect();
+        let metrics = &shared.metrics;
 
-enum Submitted {
-    Cached(Vec<f64>),
-    Pending(mpsc::Receiver<Result<Vec<f64>>>),
-}
-
-fn worker_loop(shared: &Shared) {
-    let metrics = shared.recorder.metrics();
-    let batch_sizes = metrics.histogram(
-        "serve.batch.size",
-        &[1.0, 2.0, 4.0, 8.0, 16.0, 32.0, 64.0, 128.0],
-    );
-    let phase_timers = PhaseTimers {
-        wait_ms: metrics.histogram("serve.queue.wait_ms", &queue_wait_ms_bounds()),
-        assembly: metrics.latency_histogram("serve.phase.batch_assembly"),
-        forward: metrics.latency_histogram("serve.phase.forward"),
-    };
-    loop {
-        let jobs = {
-            let mut queue = shared.queue.lock();
-            while queue.is_empty() && !shared.shutdown.load(Ordering::SeqCst) {
-                queue = shared.not_empty.wait(queue);
-            }
-            if queue.is_empty() {
-                // Shutdown with nothing left to drain.
-                return;
-            }
-            let take = queue.len().min(shared.config.max_batch);
-            let jobs: Vec<Job> = queue.drain(..take).collect();
-            metrics.gauge("serve.queue.depth").set(queue.len() as f64);
-            jobs
-        };
-        batch_sizes.observe(jobs.len() as f64);
-        metrics.counter("serve.engine.batches").inc();
-        run_batch(shared, jobs, &phase_timers);
-    }
-}
-
-/// Per-worker histogram handles for the engine-side request phases, created
-/// once so the batch loop never touches the registry map.
-struct PhaseTimers {
-    wait_ms: Histogram,
-    assembly: Histogram,
-    forward: Histogram,
-}
-
-/// One coalesced forward pass; fans results (or the failure) back out to
-/// every job in the batch and feeds the cache.
-fn run_batch(shared: &Shared, jobs: Vec<Job>, timers: &PhaseTimers) {
-    let _span = shared.recorder.span("serve.batch");
-    // Queue wait ends now for every job in the batch: one histogram sample
-    // per job (milliseconds) plus a trace phase where tracing is on.
-    for job in &jobs {
-        let waited = job.queued.elapsed_secs();
-        timers.wait_ms.observe(waited * 1e3);
-        job.trace.record(Phase::QueueWait, job.queued_at, waited);
-    }
-    // One snapshot for the whole batch: a concurrent reload must not swap
-    // weights between assembling the matrix and running the forward pass.
-    let model = shared.model();
-    let dim = model.input_dim();
-    let assembly = Stopwatch::start();
-    let mut data = Vec::with_capacity(jobs.len() * dim);
-    for job in &jobs {
-        data.extend_from_slice(&job.features);
-    }
-    let batch = match Matrix::from_vec(jobs.len(), dim, data) {
-        Ok(m) => m,
-        Err(e) => {
-            for job in jobs {
-                let _ = job.reply.send(Err(ServeError::InvalidRequest {
-                    reason: format!("batch assembly failed: {e}"),
-                }));
-            }
-            return;
-        }
-    };
-    let assembly_secs = assembly.elapsed_secs();
-    timers.assembly.observe(assembly_secs);
-    // The assembly interval is shared by the batch; each trace places it on
-    // its own clock (it ended `assembly_secs` ago on every one of them).
-    for job in &jobs {
-        let start = (job.trace.now() - assembly_secs).max(0.0);
-        job.trace.record(Phase::BatchAssembly, start, assembly_secs);
-    }
-    let forward = Stopwatch::start();
-    let result = model.embed_matrix(&batch);
-    let forward_secs = forward.elapsed_secs();
-    timers.forward.observe(forward_secs);
-    for job in &jobs {
-        let start = (job.trace.now() - forward_secs).max(0.0);
-        job.trace.record(Phase::Forward, start, forward_secs);
-    }
-    match result {
-        Ok(embeddings) => {
+        let lookup_start = trace.now();
+        let lookup = Stopwatch::start();
+        let mut out: Vec<Option<Vec<f64>>> = {
             let mut cache = shared.cache.lock();
-            for (i, job) in jobs.into_iter().enumerate() {
-                let row = embeddings.row(i).map(<[f64]>::to_vec).unwrap_or_default();
-                cache.insert(job.key, row.clone());
-                let _ = job.reply.send(Ok(row));
-            }
+            keys.iter().map(|&key| cache.get(key)).collect()
+        };
+        let misses = out.iter().filter(|row| row.is_none()).count();
+        let hits = rows.len() - misses;
+        metrics.hits.add(hits as u64);
+        metrics.misses.add(misses as u64);
+        if hits > 0 {
+            let secs = lookup.elapsed_secs();
+            metrics.cache_hit.observe(secs);
+            trace.record(Phase::CacheHit, lookup_start, secs);
         }
-        Err(e) => {
-            let reason = e.to_string();
-            for job in jobs {
-                let _ = job.reply.send(Err(ServeError::InvalidRequest {
-                    reason: format!("inference failed: {reason}"),
-                }));
+
+        if misses > 0 {
+            let mut data = Vec::with_capacity(misses * dim);
+            for (row, _) in rows.iter().zip(&out).filter(|(_, hit)| hit.is_none()) {
+                data.extend_from_slice(row);
             }
+            let batch =
+                Matrix::from_vec(misses, dim, data).map_err(|e| ServeError::InvalidRequest {
+                    reason: format!("batch assembly failed: {e}"),
+                })?;
+            let forward_start = trace.now();
+            let forward = Stopwatch::start();
+            let result = model.embed_matrix(&batch);
+            let secs = forward.elapsed_secs();
+            metrics.forward.observe(secs);
+            metrics.batch_size.observe(misses as f64);
+            trace.record(Phase::Forward, forward_start, secs);
+            let embeddings = result.map_err(|e| ServeError::InvalidRequest {
+                reason: format!("inference failed: {e}"),
+            })?;
+            let mut computed = embeddings.rows_iter();
+            let mut fresh = Vec::with_capacity(misses);
+            for (slot, &key) in out.iter_mut().zip(&keys) {
+                if slot.is_none() {
+                    let row = computed.next().map(<[f64]>::to_vec).unwrap_or_default();
+                    fresh.push((key, row.clone()));
+                    *slot = Some(row);
+                }
+            }
+            shared.cache_rows(generation, fresh);
         }
+        Ok(out.into_iter().map(Option::unwrap_or_default).collect())
     }
 }
 
@@ -529,6 +379,15 @@ mod tests {
         InferenceEngine::start(tiny_model(seed), config, Recorder::disabled()).unwrap()
     }
 
+    fn direct_row(model: &ServingModel, x: &[f64]) -> Vec<f64> {
+        model
+            .embed_matrix(&Matrix::from_rows(&[x.to_vec()]).unwrap())
+            .unwrap()
+            .row(0)
+            .unwrap()
+            .to_vec()
+    }
+
     #[test]
     fn embed_matches_direct_forward_exactly() {
         let model = tiny_model(1);
@@ -536,24 +395,22 @@ mod tests {
             InferenceEngine::start(model.clone(), EngineConfig::default(), Recorder::disabled())
                 .unwrap();
         let x = vec![0.5, -1.0, 2.0];
-        let via_engine = eng.embed(x.clone()).unwrap();
-        let direct = model
-            .embed_matrix(&Matrix::from_rows(&[x]).unwrap())
-            .unwrap();
-        assert_eq!(via_engine, direct.row(0).unwrap().to_vec());
+        assert_eq!(eng.embed(x.clone()).unwrap(), direct_row(&model, &x));
         eng.shutdown();
     }
 
     #[test]
-    fn cache_hits_on_repeat_and_skips_queue() {
-        let eng = engine(2, EngineConfig::default());
+    fn cache_hits_on_repeat_and_skip_the_forward_pass() {
+        let recorder = Recorder::disabled();
+        let eng = InferenceEngine::start(tiny_model(2), EngineConfig::default(), recorder.clone())
+            .unwrap();
         let x = vec![1.0, 2.0, 3.0];
         let first = eng.embed(x.clone()).unwrap();
         let second = eng.embed(x.clone()).unwrap();
         assert_eq!(first, second);
-        let (hits, misses) = eng.cache_stats();
-        assert_eq!(hits, 1);
-        assert_eq!(misses, 1);
+        assert_eq!(eng.cache_stats(), (1, 1));
+        let forwards = recorder.metrics().snapshot().histograms["serve.batch.size"].count;
+        assert_eq!(forwards, 1, "the repeat must not run a forward pass");
         eng.shutdown();
     }
 
@@ -576,6 +433,12 @@ mod tests {
             eng.embed_many(vec![]),
             Err(ServeError::InvalidRequest { .. })
         ));
+        // One bad row fails the whole request before any forward pass.
+        assert!(matches!(
+            eng.embed_many(vec![vec![0.0; 3], vec![f64::INFINITY, 0.0, 0.0]]),
+            Err(ServeError::InvalidRequest { .. })
+        ));
+        assert_eq!(eng.cache_stats(), (0, 0));
         eng.shutdown();
     }
 
@@ -590,6 +453,29 @@ mod tests {
             let single = eng.embed(row).unwrap();
             assert_eq!(&single, got);
         }
+        eng.shutdown();
+    }
+
+    #[test]
+    fn multi_row_request_runs_one_forward_over_its_misses_only() {
+        let model = tiny_model(13);
+        let recorder = Recorder::disabled();
+        let eng = InferenceEngine::start(model.clone(), EngineConfig::default(), recorder.clone())
+            .unwrap();
+        let rows: Vec<Vec<f64>> = (0..6)
+            .map(|i| vec![0.1 * i as f64, 1.0 - i as f64, 2.0])
+            .collect();
+        // Warm rows 1 and 4; the 6-row request then misses on 4 rows.
+        eng.embed(rows[1].clone()).unwrap();
+        eng.embed(rows[4].clone()).unwrap();
+        let got = eng.embed_many(rows.clone()).unwrap();
+        for (row, embedding) in rows.iter().zip(&got) {
+            assert_eq!(embedding, &direct_row(&model, row));
+        }
+        assert_eq!(eng.cache_stats(), (2, 6));
+        let sizes = &recorder.metrics().snapshot().histograms["serve.batch.size"];
+        assert_eq!(sizes.count, 3, "two warm-up passes and one for the request");
+        assert_eq!(sizes.sum, 6.0, "1 + 1 + the 4 misses");
         eng.shutdown();
     }
 
@@ -610,7 +496,7 @@ mod tests {
     }
 
     #[test]
-    fn traced_embed_records_engine_phases_and_queue_wait_metric() {
+    fn traced_embed_records_forward_and_cache_hit_phases() {
         let recorder = Recorder::disabled();
         let eng = InferenceEngine::start(tiny_model(20), EngineConfig::default(), recorder.clone())
             .unwrap();
@@ -621,23 +507,20 @@ mod tests {
         eng.embed_traced(x, &trace).unwrap();
         let record = trace.finish("POST", "/embed", 200).unwrap();
         let names: Vec<&str> = record.phases.iter().map(|p| p.phase.as_str()).collect();
-        for expected in ["queue_wait", "batch_assembly", "forward", "cache_hit"] {
-            assert!(names.contains(&expected), "missing {expected} in {names:?}");
-        }
+        assert_eq!(names, ["forward", "cache_hit"]);
         assert!(record
             .phases
             .windows(2)
             .all(|w| w[0].start_secs <= w[1].start_secs));
         let snap = recorder.metrics().snapshot();
         for histogram in [
-            "serve.queue.wait_ms",
-            "serve.phase.batch_assembly",
             "serve.phase.forward",
             "serve.phase.cache_hit",
+            "serve.batch.size",
         ] {
             assert!(
-                snap.histograms.get(histogram).is_some_and(|h| h.count >= 1),
-                "no samples in {histogram}"
+                snap.histograms.get(histogram).is_some_and(|h| h.count == 1),
+                "expected one sample in {histogram}"
             );
         }
         eng.shutdown();
@@ -651,17 +534,9 @@ mod tests {
             eng.embed(vec![0.0, 0.0, 0.0]),
             Err(ServeError::EngineShutdown)
         ));
-    }
-
-    #[test]
-    fn invalid_config_rejected() {
-        let bad = EngineConfig {
-            workers: 0,
-            ..EngineConfig::default()
-        };
         assert!(matches!(
-            InferenceEngine::start(tiny_model(7), bad, Recorder::disabled()),
-            Err(ServeError::InvalidConfig { .. })
+            eng.score(vec![0.0; 3], vec![1.0; 3]),
+            Err(ServeError::EngineShutdown)
         ));
     }
 
@@ -675,12 +550,7 @@ mod tests {
         assert_eq!(eng.cache_stats(), (1, 1));
 
         let new_model = tiny_model(10);
-        let expected = new_model
-            .embed_matrix(&Matrix::from_rows(std::slice::from_ref(&x)).unwrap())
-            .unwrap()
-            .row(0)
-            .unwrap()
-            .to_vec();
+        let expected = direct_row(&new_model, &x);
         eng.reload(new_model);
         let after = eng.embed(x.clone()).unwrap();
         assert_ne!(before, after);
@@ -688,6 +558,33 @@ mod tests {
         // Hit/miss counters are lifetime stats; the post-reload lookup was a
         // miss because the cache was cleared.
         assert_eq!(eng.cache_stats(), (1, 2));
+        eng.shutdown();
+    }
+
+    #[test]
+    fn rows_computed_before_a_reload_are_not_cached_after_it() {
+        // The interleaving of a request that raced a reload, step by step:
+        // it snapshots the old model, the reload swaps and clears, and only
+        // then does the request try to cache what the old weights computed.
+        let old_model = tiny_model(14);
+        let new_model = tiny_model(15);
+        let eng = InferenceEngine::start(
+            old_model.clone(),
+            EngineConfig::default(),
+            Recorder::disabled(),
+        )
+        .unwrap();
+        let x = vec![0.75, -0.25, 1.0];
+        let snapshot = eng.shared.snapshot();
+        let stale = direct_row(&snapshot.model, &x);
+        eng.reload(new_model.clone());
+        eng.shared
+            .cache_rows(snapshot.generation, vec![(fnv1a_f64s(&x), stale.clone())]);
+
+        let served = eng.embed(x.clone()).unwrap();
+        assert_eq!(eng.cache_stats(), (0, 1), "the stale row must not be hit");
+        assert_eq!(served, direct_row(&new_model, &x));
+        assert_ne!(served, stale);
         eng.shutdown();
     }
 
@@ -718,32 +615,28 @@ mod tests {
     }
 
     #[test]
-    fn concurrent_load_coalesces_into_batches() {
-        let eng = engine(
-            8,
-            EngineConfig {
-                workers: 1,
-                max_batch: 8,
-                queue_capacity: 64,
-                cache_capacity: 0,
-            },
-        );
-        let recorder = Recorder::disabled();
-        let _ = recorder; // engine has its own disabled recorder
-        let mut handles = Vec::new();
-        for t in 0..4 {
-            let e = eng.clone();
-            handles.push(std::thread::spawn(move || {
-                (0..16)
-                    .map(|i| {
+    fn concurrent_callers_each_get_their_own_rows() {
+        let model = tiny_model(8);
+        let eng = InferenceEngine::start(
+            model.clone(),
+            EngineConfig { cache_capacity: 0 },
+            Recorder::disabled(),
+        )
+        .unwrap();
+        let handles: Vec<_> = (0..4)
+            .map(|t| {
+                let (e, model) = (eng.clone(), model.clone());
+                std::thread::spawn(move || {
+                    for i in 0..16 {
                         let v = vec![t as f64, i as f64, (t * i) as f64];
-                        e.embed(v).unwrap().len()
-                    })
-                    .sum::<usize>()
-            }));
+                        assert_eq!(e.embed(v.clone()).unwrap(), direct_row(&model, &v));
+                    }
+                })
+            })
+            .collect();
+        for handle in handles {
+            handle.join().unwrap();
         }
-        let total: usize = handles.into_iter().map(|h| h.join().unwrap()).sum();
-        assert_eq!(total, 4 * 16 * 4); // every request returned a 4-dim embedding
         eng.shutdown();
     }
 }

@@ -44,12 +44,7 @@ pub enum ServeError {
         /// Actual value.
         actual: usize,
     },
-    /// The bounded request queue is full; the caller should shed load.
-    QueueFull {
-        /// The configured queue capacity.
-        capacity: usize,
-    },
-    /// The engine (or its worker pool) has shut down.
+    /// The engine has shut down.
     EngineShutdown,
     /// An inference request was semantically invalid (empty batch, NaN
     /// features, …).
@@ -86,9 +81,6 @@ impl fmt::Display for ServeError {
                 expected,
                 actual,
             } => write!(f, "{what} mismatch: expected {expected}, got {actual}"),
-            ServeError::QueueFull { capacity } => {
-                write!(f, "request queue full (capacity {capacity}); retry later")
-            }
             ServeError::EngineShutdown => write!(f, "inference engine has shut down"),
             ServeError::InvalidRequest { reason } => write!(f, "invalid request: {reason}"),
             ServeError::InvalidConfig { reason } => write!(f, "invalid configuration: {reason}"),
@@ -139,7 +131,5 @@ mod tests {
             actual: 2,
         };
         assert!(e.to_string().contains("corrupted or truncated"));
-        let e = ServeError::QueueFull { capacity: 8 };
-        assert!(e.to_string().contains("capacity 8"));
     }
 }

@@ -310,6 +310,11 @@ pub fn write_response(
 /// [`write_response`] plus caller-supplied extra headers (e.g. the
 /// `x-rll-trace` trace-id header). Header names and values must already be
 /// wire-safe; this writer does no escaping.
+///
+/// The response is assembled in memory and handed to `writer` in one
+/// `write_all`: on an unbuffered `TcpStream` with `TCP_NODELAY`, each
+/// formatted piece would be its own `write` call and can leave as its own
+/// segment.
 pub fn write_response_with_headers(
     writer: &mut impl Write,
     status: u16,
@@ -319,17 +324,19 @@ pub fn write_response_with_headers(
     keep_alive: bool,
     extra_headers: &[(&str, String)],
 ) -> std::io::Result<()> {
+    let mut wire = Vec::with_capacity(160 + body.len());
     write!(
-        writer,
+        wire,
         "HTTP/1.1 {status} {reason}\r\nContent-Type: {content_type}\r\nContent-Length: {}\r\nConnection: {}\r\n",
         body.len(),
         if keep_alive { "keep-alive" } else { "close" },
     )?;
     for (name, value) in extra_headers {
-        write!(writer, "{name}: {value}\r\n")?;
+        write!(wire, "{name}: {value}\r\n")?;
     }
-    writer.write_all(b"\r\n")?;
-    writer.write_all(body)?;
+    wire.extend_from_slice(b"\r\n");
+    wire.extend_from_slice(body);
+    writer.write_all(&wire)?;
     writer.flush()
 }
 
@@ -635,6 +642,38 @@ mod tests {
         assert_eq!(resp.header("content-type"), Some("application/json"));
         assert_eq!(resp.header("missing"), None);
         assert_eq!(resp.body, b"{}");
+    }
+
+    #[test]
+    fn response_reaches_the_writer_in_one_write() {
+        /// Records every `write` call it receives.
+        #[derive(Default)]
+        struct Writes(Vec<Vec<u8>>);
+        impl Write for Writes {
+            fn write(&mut self, buf: &[u8]) -> std::io::Result<usize> {
+                self.0.push(buf.to_vec());
+                Ok(buf.len())
+            }
+            fn flush(&mut self) -> std::io::Result<()> {
+                Ok(())
+            }
+        }
+        let mut writes = Writes::default();
+        write_response_with_headers(
+            &mut writes,
+            503,
+            "Service Unavailable",
+            "application/json",
+            b"{\"error\":\"busy\"}",
+            false,
+            &[("x-rll-trace", "0123456789abcdef".to_string())],
+        )
+        .unwrap();
+        assert_eq!(writes.0.len(), 1, "one write per response");
+        let resp = read_response(&mut BufReader::new(writes.0[0].as_slice())).unwrap();
+        assert_eq!(resp.status, 503);
+        assert_eq!(resp.header("x-rll-trace"), Some("0123456789abcdef"));
+        assert_eq!(resp.body, b"{\"error\":\"busy\"}");
     }
 
     #[test]

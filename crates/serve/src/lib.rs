@@ -10,22 +10,21 @@
 //! 1. **[`checkpoint`]** — a versioned, checksummed on-disk format
 //!    ([`Checkpoint`]) wrapping the trained encoder + feature normalizer,
 //!    with typed errors for version, checksum, and dimension mismatches.
-//! 2. **[`engine`]** — an [`InferenceEngine`]: a `std::thread` worker pool
-//!    over a *bounded* request queue (backpressure via
-//!    [`ServeError::QueueFull`]), micro-batching up to `max_batch` pending
-//!    vectors into one forward matmul, and a hand-rolled [`lru::LruCache`]
-//!    keyed on FNV-1a feature hashes.
+//! 2. **[`engine`]** — an [`InferenceEngine`] that runs each request on
+//!    the caller's thread: a hand-rolled [`lru::LruCache`] keyed on FNV-1a
+//!    feature hashes, then one forward matmul over the request's misses.
 //! 3. **[`http`] / [`server`]** — a zero-dependency HTTP/1.1 server on
-//!    `std::net::TcpListener` exposing `POST /embed`, `POST /score`,
-//!    `GET /healthz`, `GET /metrics` (rll-obs counters, batch sizes,
-//!    cache hit rate, queue depth, latency quantiles), and `POST /reload`
+//!    `std::net::TcpListener`, one thread per connection up to a cap
+//!    (`503` beyond it), exposing `POST /embed`, `POST /score`,
+//!    `GET /healthz`, `GET /metrics` (rll-obs counters, rows per forward
+//!    pass, cache hit rate, latency quantiles), and `POST /reload`
 //!    (hot-swap a newer checkpoint from disk without dropping connections).
 //! 4. **bins** — `serve` (train-demo + load checkpoint + listen) and
 //!    `loadgen` (seeded deterministic load generator writing a
 //!    latency/throughput summary to `results/serve_bench.json`).
 //!
-//! Determinism contract: checkpoint round-trips are bit-exact, and batched
-//! inference equals unbatched inference with exact float equality, so a
+//! Determinism contract: checkpoint round-trips are bit-exact, and a
+//! multi-row forward pass equals one-row passes with exact float equality, so a
 //! served embedding is byte-for-byte the embedding the training pipeline
 //! would have produced in-process.
 

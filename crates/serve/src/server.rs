@@ -16,10 +16,15 @@
 //! [`rll_label::LabelStore`] via [`EmbedServer::start_with_labels`].
 //!
 //! Error contract: JSON `{"error": …}` with `400` (bad input), `404`/`405`
-//! (routing), `411`/`413` (framing), `503` (queue backpressure / shutdown),
-//! `500` (internal). Connections are HTTP/1.1 keep-alive with pipelining;
-//! each gets a read timeout so an idle peer cannot pin a handler thread
-//! forever.
+//! (routing), `411`/`413` (framing), `503` (connection cap reached / engine
+//! shut down), `500` (internal). Connections are HTTP/1.1 keep-alive with
+//! pipelining, one handler thread each; each gets a read timeout so an idle
+//! peer cannot pin a handler thread forever.
+//!
+//! Backpressure: at most [`ServerConfig::max_connections`] connections are
+//! served at once. The acceptor answers a connection beyond the cap with
+//! `503` and closes it (counted in `serve.http.rejected`) instead of
+//! spawning another thread.
 //!
 //! [`MetricsSnapshot`]: rll_obs::MetricsSnapshot
 
@@ -34,7 +39,7 @@ use serde::{Deserialize, Serialize};
 use std::io::BufReader;
 use std::net::{SocketAddr, TcpListener, TcpStream};
 use std::path::PathBuf;
-use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
+use std::sync::atomic::{AtomicBool, AtomicU64, AtomicUsize, Ordering};
 use std::sync::Arc;
 use std::thread::JoinHandle;
 use std::time::Duration;
@@ -58,6 +63,9 @@ pub struct ServerConfig {
     /// `x-rll-trace` header is still sent — ids are deterministic either
     /// way).
     pub trace: bool,
+    /// Most connections served at once; one more is answered `503` and
+    /// closed. Each open connection holds one handler thread.
+    pub max_connections: usize,
 }
 
 impl Default for ServerConfig {
@@ -68,6 +76,7 @@ impl Default for ServerConfig {
             read_timeout_secs: 30,
             checkpoint_path: None,
             trace: false,
+            max_connections: 256,
         }
     }
 }
@@ -168,6 +177,9 @@ struct Ctx {
     /// Accepted-connection counter; its value is the `conn_seq` half of
     /// every deterministic trace id on that connection.
     connections: AtomicU64,
+    /// Connections whose handler is running (see [`ConnectionSlot`]).
+    open: AtomicUsize,
+    max_connections: usize,
 }
 
 impl Ctx {
@@ -187,6 +199,29 @@ impl Ctx {
                 .latency_histogram(&format!("serve.handler.{route}")),
             clock: Stopwatch::start(),
         }
+    }
+}
+
+/// One of the [`ServerConfig::max_connections`] handler slots, held by a
+/// connection's handler thread and released when it exits.
+struct ConnectionSlot(Arc<Ctx>);
+
+impl ConnectionSlot {
+    /// Claims a slot, or `None` when every slot is taken. The count
+    /// publishes no other data, so `Relaxed` suffices.
+    fn claim(ctx: &Arc<Ctx>) -> Option<Self> {
+        ctx.open
+            .fetch_update(Ordering::Relaxed, Ordering::Relaxed, |open| {
+                (open < ctx.max_connections).then_some(open + 1)
+            })
+            .ok()
+            .map(|_| ConnectionSlot(Arc::clone(ctx)))
+    }
+}
+
+impl Drop for ConnectionSlot {
+    fn drop(&mut self) {
+        self.0.open.fetch_sub(1, Ordering::Relaxed);
     }
 }
 
@@ -239,6 +274,8 @@ impl EmbedServer {
             shutdown: Arc::clone(&shutdown),
             trace: config.trace,
             connections: AtomicU64::new(0),
+            open: AtomicUsize::new(0),
+            max_connections: config.max_connections,
         });
         let read_timeout = Duration::from_secs(config.read_timeout_secs.max(1));
         let acceptor_shutdown = Arc::clone(&shutdown);
@@ -250,20 +287,23 @@ impl EmbedServer {
                         break;
                     }
                     let Ok(stream) = stream else { continue };
-                    let _ = stream.set_read_timeout(Some(read_timeout));
                     let _ = stream.set_nodelay(true);
-                    let conn_ctx = Arc::clone(&ctx);
-                    conn_ctx
-                        .recorder
+                    let Some(slot) = ConnectionSlot::claim(&ctx) else {
+                        reject_connection(stream, &ctx);
+                        continue;
+                    };
+                    let _ = stream.set_read_timeout(Some(read_timeout));
+                    ctx.recorder
                         .metrics()
                         .counter("serve.http.connections")
                         .inc();
                     // Handler threads are detached: each is bounded by the
                     // read timeout, so they drain on their own after
-                    // shutdown flips.
+                    // shutdown flips. The slot is released when the thread
+                    // (or a failed spawn) drops the closure.
                     let _ = std::thread::Builder::new()
                         .name("serve-conn".to_string())
-                        .spawn(move || handle_connection(stream, &conn_ctx));
+                        .spawn(move || handle_connection(stream, &slot.0));
                 }
             })
             .map_err(|e| ServeError::io("spawn acceptor thread", e))?;
@@ -295,6 +335,26 @@ impl EmbedServer {
             let _ = handle.join();
         }
     }
+}
+
+/// Answers a connection beyond the cap with `503` and closes it, on the
+/// acceptor thread. The reply fits in the socket's send buffer, so this
+/// does not block; a peer that already sent its request may see a reset
+/// instead of the body.
+fn reject_connection(mut stream: TcpStream, ctx: &Ctx) {
+    ctx.recorder.metrics().counter("serve.http.rejected").inc();
+    let body = error_body(&format!(
+        "connection limit reached ({} open); retry later",
+        ctx.max_connections
+    ));
+    let _ = http::write_response(
+        &mut stream,
+        503,
+        "Service Unavailable",
+        "application/json",
+        &body,
+        false,
+    );
 }
 
 fn handle_connection(stream: TcpStream, ctx: &Ctx) {
@@ -647,7 +707,7 @@ fn json_ok<T: serde::Serialize>(value: &T) -> Routed {
 
 fn serve_error_response(e: &ServeError) -> Routed {
     let (status, reason) = match e {
-        ServeError::QueueFull { .. } | ServeError::EngineShutdown => (503, "Service Unavailable"),
+        ServeError::EngineShutdown => (503, "Service Unavailable"),
         ServeError::DimMismatch { .. } | ServeError::InvalidRequest { .. } => (400, "Bad Request"),
         _ => (500, "Internal Server Error"),
     };

@@ -455,12 +455,12 @@ fn every_request_emits_exactly_one_complete_trace() {
     }
 
     // Phase composition matches each request's actual path through the
-    // engine: miss → queue/forward, repeat → cache hit, healthz → neither.
+    // engine: miss → forward, repeat → cache hit, healthz → neither.
     let names =
         |r: &rll_obs::TraceRecord| r.phases.iter().map(|p| p.phase.clone()).collect::<Vec<_>>();
     let miss = names(&records[0]);
-    assert!(miss.iter().any(|n| n == "queue_wait"), "{miss:?}");
     assert!(miss.iter().any(|n| n == "forward"), "{miss:?}");
+    assert!(!miss.iter().any(|n| n == "cache_hit"), "{miss:?}");
     let hit = names(&records[1]);
     assert!(hit.iter().any(|n| n == "cache_hit"), "{hit:?}");
     assert!(!hit.iter().any(|n| n == "forward"), "{hit:?}");
@@ -483,6 +483,69 @@ fn untraced_server_still_sends_deterministic_trace_header() {
     // counters, so the header still names this request deterministically.
     let expected = format!("{:016x}", rll_obs::trace_id(0, 0));
     assert_eq!(response.header("x-rll-trace"), Some(expected.as_str()));
+    h.stop();
+}
+
+#[test]
+fn connections_beyond_the_cap_get_503_until_a_slot_frees() {
+    const HEALTH: &[u8] = b"GET /healthz HTTP/1.1\r\nHost: t\r\n\r\n";
+    let h = Harness::start(
+        30,
+        ServerConfig {
+            max_connections: 2,
+            ..ServerConfig::default()
+        },
+    );
+    // Two keep-alive connections take both slots; a round trip on each
+    // proves its handler is running.
+    let mut live: Vec<_> = (0..2)
+        .map(|_| {
+            let (mut reader, mut writer) = h.connect();
+            writer.write_all(HEALTH).expect("write");
+            let response = http::read_response(&mut reader).expect("response");
+            assert_eq!(response.status, 200);
+            (reader, writer)
+        })
+        .collect();
+
+    // The third is answered 503 on accept, before it sends anything, and
+    // closed.
+    let (mut reader, _writer) = h.connect();
+    let refused = http::read_response(&mut reader).expect("503 response");
+    assert_eq!(refused.status, 503);
+    let err: rll_serve::ErrorResponse = json(&refused);
+    assert!(err.error.contains("connection limit"), "got: {}", err.error);
+    let mut rest = Vec::new();
+    assert_eq!(reader.read_to_end(&mut rest).expect("read to end"), 0);
+
+    // Closing a live connection frees its slot once its handler sees EOF.
+    // Until then a new connection is still refused: with a 503, or with a
+    // reset if the request bytes were already unread on the server side.
+    drop(live.pop());
+    let mut refusals = 1;
+    let admitted = (0..500).any(|_| {
+        let (mut reader, mut writer) = h.connect();
+        let status = writer
+            .write_all(HEALTH)
+            .ok()
+            .and_then(|()| http::read_response(&mut reader).ok())
+            .map(|r| r.status);
+        if status == Some(200) {
+            return true;
+        }
+        refusals += 1;
+        std::thread::sleep(std::time::Duration::from_millis(10));
+        false
+    });
+    assert!(admitted, "a freed slot must admit a new connection");
+
+    let (reader, writer) = &mut live[0];
+    writer
+        .write_all(b"GET /metrics HTTP/1.1\r\nHost: t\r\n\r\n")
+        .expect("write");
+    let metrics: rll_obs::MetricsSnapshot =
+        json(&http::read_response(reader).expect("metrics response"));
+    assert_eq!(metrics.counters.get("serve.http.rejected"), Some(&refusals));
     h.stop();
 }
 

@@ -7,9 +7,9 @@
 //! 1. the rank-annotated wrappers adopted by the engine/server really are on
 //!    the hot path — [`rll_par::lockorder::validations`] strictly increases
 //!    while requests flow — and
-//! 2. the declared rank ladder (workers 10 < model 20 < queue 30 < cache 40
-//!    < train_run_id 50) holds at runtime for submit, cache-hit, reload, and
-//!    shutdown paths: any inversion would panic the thread and fail the test.
+//! 2. the declared rank ladder (model 20 < cache 40 < train_run_id 50)
+//!    holds at runtime for the miss, cache-hit and reload paths: any
+//!    inversion would panic the thread and fail the test.
 
 use rll_core::{RllModel, RllModelConfig};
 use rll_data::Normalizer;
@@ -47,16 +47,15 @@ fn witness_is_enabled_and_validates_engine_lock_traffic() {
     )
     .expect("engine");
 
-    // Queue + model locks: a miss goes through queue(30) and model(20) on
-    // the worker; the repeat hits cache(40).
+    // A miss reads model(20), then takes cache(40) for the lookup and again
+    // for the insert; the repeat only takes cache(40).
     let features = vec![0.25, -1.5, 2.0];
     let a = engine.embed(features.clone()).expect("embed");
     let b = engine.embed(features).expect("embed again (cache hit)");
     assert_eq!(a, b, "cache hit must return the same embedding");
 
-    // Reload takes model.write() then cache(40); the nested shutdown path
-    // takes workers(10) and drains queue(30) under it — the one deliberately
-    // nested acquisition, which must validate cleanly, not panic.
+    // Reload takes model.write(), releases it, then takes cache(40); the
+    // engine never holds two locks at once.
     engine.reload(ServingModel::from_checkpoint(test_checkpoint(12)));
     engine
         .embed(vec![1.0, 2.0, 3.0])

@@ -113,7 +113,7 @@ cmp "$SMOKE_DIR/det_t1.rllckpt" "$SMOKE_DIR/det_t4.rllckpt" || {
 }
 echo "determinism gate ok (1-thread and 4-thread checkpoints are identical)"
 
-echo "== kernel gate (RLL_KERNEL must not change results; bench_train/v2) =="
+echo "== kernel gate (RLL_KERNEL must not change results; bench_train/v3) =="
 # The scalar kernels are the oracle: training with the tiled kernels must
 # emit byte-identical checkpoints, at 1 worker thread and at 4.
 for T in 1 4; do
@@ -126,7 +126,7 @@ for T in 1 4; do
         exit 1
     }
 done
-# bench_train/v2 re-times both kernels at both thread counts in child
+# bench_train/v3 re-times both kernels at both thread counts in child
 # processes and aborts unless all four runs hash to the same embeddings and
 # training trace. Timings land in the temp dir; the committed
 # results/bench_train.json is regenerated manually on a quiet box.
